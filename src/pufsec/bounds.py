@@ -20,10 +20,12 @@ import math
 
 import numpy as np
 
-from .stats import DomainError, PufModel, q_inverse, unit_interval_rule
+from .stats import DomainError, PufModel, q_inverse
 from .quantizer import InputQuantizer
-from .channel import AttackerSpec, averaged_channel, per_w_channels
-from .info import _mi_per_node, entropy, mutual_information
+# per_w_channels stays bound here although _conditional_mi makes the call:
+# the perfbench tracer wraps it, and checks the wrap, in this namespace.
+from .channel import AttackerSpec, averaged_channel, per_w_channels  # noqa: F401
+from .info import _conditional_mi, entropy, mutual_information
 
 LOG2_CAP_DEFAULT = 20000
 
@@ -100,16 +102,12 @@ def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
     pnz = probs > 0
     b2 = float(probs[pnz] @ np.log2(probs[pnz] * n_levels) ** 2)
 
-    xs, wts = unit_interval_rule(nodes)
-    mats = per_w_channels(q, xs, model)
-    i_cond = float(wts @ _mi_per_node(mats, probs))
-
     return ChannelSummary(
         quantizer=q, model=model, nodes=nodes,
         probs=probs, joint=joint,
         h_s=entropy(probs),
         i_avg=mutual_information(joint),
-        i_cond=i_cond,
+        i_cond=_conditional_mi(q, model, nodes),
         a2=a2, b2=b2, c2=c2, d2_per_s=d2,
         metadata=dict(avg.metadata),
     )
@@ -122,33 +120,49 @@ def _as_summary(q, model=None, nodes: int = 128) -> ChannelSummary:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic rates
+# First-order terms and asymptotic rates
 
 
-def _check_pd(p_d):
-    if not 0.0 <= p_d <= 1.0:
-        raise DomainError(f"p_d must lie in [0,1], got {p_d}")
+def _first_order(att: AttackerSpec, direction: str, i_cond: float,
+                 h_s: float, i_avg: float | None = None) -> float:
+    """First-order term of the rate bound against `att`: I(S;S~|W) p_d for
+    either converse, I(S;S~) p_d for digital achievability, and
+    I(S;S~|W)(1 - p_a + p_d) - H(S)(1 - p_a) for analog achievability."""
+    if direction == "converse":
+        return i_cond * att.p_d
+    if direction != "achievability":
+        raise DomainError(
+            f"direction must be 'achievability' or 'converse', got {direction!r}")
+    if att.kind == "digital":
+        return i_avg * att.p_d
+    return i_cond * (1.0 - att.p_a + att.p_d) - h_s * (1.0 - att.p_a)
+
+
+def _asymptotic_rate(att: AttackerSpec, i_cond: float, h_s: float) -> float:
+    """Key rate the optimizer maximizes: the capacity against the digital
+    attacker, the lower bound (clamped at zero) against the analog one."""
+    if att.kind == "digital":
+        return _first_order(att, "converse", i_cond, h_s)
+    return max(_first_order(att, "achievability", i_cond, h_s), 0.0)
 
 
 def asymptotic_rate_digital(q, model=None, p_d: float = 0.1, *,
                             nodes: int = 128) -> float:
     """Secret-key capacity against the digital attacker:
     I(S; S~ | W) * p_d bits per cell."""
-    _check_pd(p_d)
+    att = AttackerSpec("digital", p_d=p_d)
     s = _as_summary(q, model, nodes)
-    return s.i_cond * p_d
+    return _asymptotic_rate(att, s.i_cond, s.h_s)
 
 
 def asymptotic_rate_analog(q, model=None, p_d: float = 0.1,
                            p_a: float = 0.2, *, nodes: int = 128):
     """(lower, upper) bounds on the key capacity against the analog
     attacker; the lower bound is clamped at zero."""
-    _check_pd(p_d)
-    if not p_d <= p_a <= 1.0:
-        raise DomainError(f"need p_d <= p_a <= 1, got p_d={p_d}, p_a={p_a}")
+    att = AttackerSpec("analog", p_d=p_d, p_a=p_a)
     s = _as_summary(q, model, nodes)
-    lower = s.i_cond * (1.0 - p_a + p_d) - s.h_s * (1.0 - p_a)
-    return max(lower, 0.0), s.i_cond * p_d
+    return (_asymptotic_rate(att, s.i_cond, s.h_s),
+            _first_order(att, "converse", s.i_cond, s.h_s))
 
 
 # ---------------------------------------------------------------------------
@@ -163,22 +177,21 @@ def dispersion_v1(s: ChannelSummary) -> float:
 def dispersion_v2_digital(s: ChannelSummary, p_d: float) -> float:
     """Eavesdropper dispersion, digital attacker: erasure mixture of the
     noisy density (weight 1-p_d) and the source-only density (weight p_d)."""
-    _check_pd(p_d)
+    AttackerSpec("digital", p_d=p_d)
     mean = (1.0 - p_d) * s.a1 + p_d * s.b1
     return max((1.0 - p_d) * s.a2 + p_d * s.b2 - mean ** 2, 0.0)
 
 
 def dispersion_vc_prime_digital(s: ChannelSummary, p_d: float) -> float:
     """Exact converse dispersion for the digital attacker."""
-    _check_pd(p_d)
+    AttackerSpec("digital", p_d=p_d)
     return max(p_d * s.c2 - p_d ** 2 * s.d2_per_s, 0.0)
 
 
 def dispersion_v2_analog(s: ChannelSummary, p_d: float, p_a: float) -> float:
     """Eavesdropper dispersion, analog attacker: three-way mixture of the
     (E,E), (s~,E) and (s~,s) outcomes."""
-    if not 0.0 <= p_d <= p_a <= 1.0:
-        raise DomainError(f"need 0 <= p_d <= p_a <= 1, got p_d={p_d}, p_a={p_a}")
+    AttackerSpec("analog", p_d=p_d, p_a=p_a)
     log_n = s.log_alphabet
     mean = log_n + s.i_avg * (p_a - p_d) - p_a * s.h_s
     second = (p_d * s.b2 + (p_a - p_d) * s.a2 + (1.0 - p_a) * log_n ** 2)
@@ -197,7 +210,7 @@ def dispersion_vc_analog(s: ChannelSummary, p_d: float,
     reference variant matches every published analog converse cell to
     within 0.5%.
     """
-    _check_pd(p_d)
+    AttackerSpec("digital", p_d=p_d)          # p_d in [0, 1]; p_a plays no part
     if variant == "theorem":
         second = s.c2
     elif variant == "reference":
@@ -217,26 +230,13 @@ def _check_n(n):
         raise DomainError(f"n must be a positive integer, got {n!r}")
 
 
-def _qinv_delta(delta=None, security_bits=None):
-    """Q^{-1}(delta) with delta given directly or as 2^-lambda."""
+def _check_eps_delta(epsilon, delta=None, security_bits=None):
     if (delta is None) == (security_bits is None):
         raise DomainError("pass exactly one of delta or security_bits")
-    if security_bits is not None:
-        if security_bits < 1:
-            raise DomainError(f"security level must be >= 1 bit, got {security_bits}")
-        return q_inverse(log2_p=-float(security_bits))
-    if not 0.0 < delta < 1.0:
+    if security_bits is not None and security_bits < 1:
+        raise DomainError(f"security level must be >= 1 bit, got {security_bits}")
+    if delta is not None and not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0,1), got {delta!r}")
-    return q_inverse(delta)
-
-
-def _delta_value(delta=None, security_bits=None) -> float:
-    if security_bits is not None:
-        return 2.0 ** -float(security_bits)
-    return float(delta)
-
-
-def _check_eps_delta(epsilon, delta=None, security_bits=None):
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0,1), got {epsilon!r}")
     d = _delta_value(delta, security_bits)
@@ -245,33 +245,67 @@ def _check_eps_delta(epsilon, delta=None, security_bits=None):
             f"epsilon + delta must be < 1, got {epsilon} + {d}")
 
 
+def _delta_value(delta=None, security_bits=None) -> float:
+    if security_bits is not None:
+        return 2.0 ** -float(security_bits)
+    return float(delta)
+
+
+def _rate_terms(att: AttackerSpec, direction: str, s: ChannelSummary,
+                epsilon: float, delta=None, security_bits=None):
+    """(first, penalty) with rate(n) = first - penalty / sqrt(n), the
+    normal approximation of the achievability or converse bound; epsilon
+    and delta/security_bits must already be checked."""
+    first = _first_order(att, direction, s.i_cond, s.h_s, s.i_avg)
+    if direction == "achievability":
+        if att.kind == "digital":
+            v2 = dispersion_v2_digital(s, att.p_d)
+        else:
+            v2 = dispersion_v2_analog(s, att.p_d, att.p_a)
+        if security_bits is not None:
+            qinv_delta = q_inverse(log2_p=-float(security_bits))
+        else:
+            qinv_delta = q_inverse(delta)
+        penalty = (math.sqrt(dispersion_v1(s)) * q_inverse(epsilon)
+                   + math.sqrt(v2) * qinv_delta)
+    else:
+        if att.kind == "digital":
+            vc = dispersion_vc_prime_digital(s, att.p_d)
+        else:
+            vc = dispersion_vc_analog(s, att.p_d)
+        penalty = math.sqrt(vc) * q_inverse(
+            epsilon + _delta_value(delta, security_bits))
+    return first, penalty
+
+
+def _rate_at(first: float, penalty: float, n) -> float:
+    return first - penalty / math.sqrt(n)
+
+
+def _finite_rate(att, direction, q, model, n, epsilon, delta, security_bits,
+                 nodes):
+    _check_n(n)
+    _check_eps_delta(epsilon, delta, security_bits)
+    s = _as_summary(q, model, nodes)
+    return _rate_at(*_rate_terms(att, direction, s, epsilon, delta,
+                                 security_bits), n)
+
+
 def finite_rate_digital_ach(q, model=None, p_d=0.1, n=1000, epsilon=1e-6,
                             delta=None, *, security_bits=None,
                             nodes: int = 128) -> float:
     """Normal-approximation achievable key rate against the digital
     attacker (may be negative; callers clamp)."""
-    _check_pd(p_d)
-    _check_n(n)
-    _check_eps_delta(epsilon, delta, security_bits)
-    s = _as_summary(q, model, nodes)
-    v1 = dispersion_v1(s)
-    v2 = dispersion_v2_digital(s, p_d)
-    return (s.i_avg * p_d
-            - math.sqrt(v1 / n) * q_inverse(epsilon)
-            - math.sqrt(v2 / n) * _qinv_delta(delta, security_bits))
+    return _finite_rate(AttackerSpec("digital", p_d=p_d), "achievability",
+                        q, model, n, epsilon, delta, security_bits, nodes)
 
 
 def finite_rate_digital_conv(q, model=None, p_d=0.1, n=1000, epsilon=1e-6,
                              delta=None, *, security_bits=None,
                              nodes: int = 128) -> float:
     """Exact second-order converse rate against the digital attacker."""
-    _check_pd(p_d)
-    _check_n(n)
-    _check_eps_delta(epsilon, delta, security_bits)
-    s = _as_summary(q, model, nodes)
-    vc = dispersion_vc_prime_digital(s, p_d)
-    total = epsilon + _delta_value(delta, security_bits)
-    return s.i_cond * p_d - math.sqrt(vc / n) * q_inverse(total)
+    return _finite_rate(AttackerSpec("digital", p_d=p_d), "converse",
+                        q, model, n, epsilon, delta, security_bits, nodes)
 
 
 def finite_rate_analog_ach(q, model=None, p_d=0.1, p_a=0.2, n=1000,
@@ -279,33 +313,19 @@ def finite_rate_analog_ach(q, model=None, p_d=0.1, p_a=0.2, n=1000,
                            nodes: int = 128) -> float:
     """Normal-approximation achievable key rate against the analog
     attacker (may be negative; callers clamp)."""
-    if not 0.0 <= p_d <= p_a <= 1.0:
-        raise DomainError(f"need 0 <= p_d <= p_a <= 1, got p_d={p_d}, p_a={p_a}")
-    _check_n(n)
-    _check_eps_delta(epsilon, delta, security_bits)
-    s = _as_summary(q, model, nodes)
-    first = s.i_cond * (1.0 - p_a + p_d) - s.h_s * (1.0 - p_a)
-    v1 = dispersion_v1(s)
-    v2 = dispersion_v2_analog(s, p_d, p_a)
-    return (first
-            - math.sqrt(v1 / n) * q_inverse(epsilon)
-            - math.sqrt(v2 / n) * _qinv_delta(delta, security_bits))
+    return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a),
+                        "achievability", q, model, n, epsilon, delta,
+                        security_bits, nodes)
 
 
 def finite_rate_analog_conv(q, model=None, p_d=0.1, p_a=0.2, n=1000,
                             epsilon=1e-6, delta=None, *, security_bits=None,
-                            nodes: int = 128, variant: str = "reference") -> float:
-    """Second-order converse rate against the analog attacker.  The value
-    does not depend on p_a; the argument is kept for interface symmetry.
-    See dispersion_vc_analog for the meaning of `variant`."""
-    if not 0.0 <= p_d <= p_a <= 1.0:
-        raise DomainError(f"need 0 <= p_d <= p_a <= 1, got p_d={p_d}, p_a={p_a}")
-    _check_n(n)
-    _check_eps_delta(epsilon, delta, security_bits)
-    s = _as_summary(q, model, nodes)
-    vc = dispersion_vc_analog(s, p_d, variant)
-    total = epsilon + _delta_value(delta, security_bits)
-    return s.i_cond * p_d - math.sqrt(vc / n) * q_inverse(total)
+                            nodes: int = 128) -> float:
+    """Second-order converse rate against the analog attacker, with the
+    default (reference) dispersion variant.  The value does not depend on
+    p_a; the argument is kept for interface symmetry."""
+    return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a), "converse",
+                        q, model, n, epsilon, delta, security_bits, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +345,9 @@ class BoundQuery:
     n: int | None = None
 
     def __post_init__(self):
-        if (self.security_bits is None) == (self.delta is None):
-            raise DomainError("pass exactly one of security_bits or delta")
         _check_eps_delta(self.epsilon, self.delta, self.security_bits)
-        if self.security_bits is not None and self.security_bits < 1:
-            raise DomainError("security level must be >= 1 bit")
         if self.n is not None:
             _check_n(self.n)
-
-    @property
-    def delta_value(self) -> float:
-        return _delta_value(self.delta, self.security_bits)
 
     @property
     def target_bits(self) -> float:
@@ -357,36 +369,6 @@ class BoundResult:
     diagnostics: dict = dataclasses.field(default_factory=dict)
 
 
-def _rate_fn(query: BoundQuery, direction: str, summary: ChannelSummary):
-    """Returns (first_order, penalty) with rate(n) = first_order - penalty/sqrt(n)."""
-    att = query.attacker
-    eps = query.epsilon
-    qinv_eps = q_inverse(eps)
-    qinv_delta = _qinv_delta(query.delta, query.security_bits)
-    qinv_total = q_inverse(eps + query.delta_value)
-    if direction == "achievability":
-        v1 = dispersion_v1(summary)
-        if att.kind == "digital":
-            first = summary.i_avg * att.p_d
-            v2 = dispersion_v2_digital(summary, att.p_d)
-        else:
-            first = (summary.i_cond * (1.0 - att.p_a + att.p_d)
-                     - summary.h_s * (1.0 - att.p_a))
-            v2 = dispersion_v2_analog(summary, att.p_d, att.p_a)
-        penalty = math.sqrt(v1) * qinv_eps + math.sqrt(v2) * qinv_delta
-    elif direction == "converse":
-        first = summary.i_cond * att.p_d
-        if att.kind == "digital":
-            vc = dispersion_vc_prime_digital(summary, att.p_d)
-        else:
-            vc = dispersion_vc_analog(summary, att.p_d)
-        penalty = math.sqrt(vc) * qinv_total
-    else:
-        raise DomainError(
-            f"direction must be 'achievability' or 'converse', got {direction!r}")
-    return first, penalty
-
-
 def min_cells(query: BoundQuery, direction: str,
               cap: int = LOG2_CAP_DEFAULT, *,
               summary: ChannelSummary | None = None,
@@ -400,11 +382,13 @@ def min_cells(query: BoundQuery, direction: str,
     """
     if summary is None:
         summary = summarize_channel(query.quantizer, nodes=nodes)
-    first, penalty = _rate_fn(query, direction, summary)
+    first, penalty = _rate_terms(query.attacker, direction, summary,
+                                 query.epsilon, query.delta,
+                                 query.security_bits)
     target = query.target_bits
 
     def bits(n):
-        return n * max(first - penalty / math.sqrt(n), 0.0)
+        return n * max(_rate_at(first, penalty, n), 0.0)
 
     if first <= 0.0 or bits(cap) < target:
         return None
@@ -427,10 +411,11 @@ def evaluate(query: BoundQuery, cap: int = LOG2_CAP_DEFAULT, *,
     summary = summarize_channel(query.quantizer, nodes=nodes)
     rate_lower = rate_upper = None
     if query.n is not None:
-        f_a, p_a = _rate_fn(query, "achievability", summary)
-        f_c, p_c = _rate_fn(query, "converse", summary)
-        rate_lower = f_a - p_a / math.sqrt(query.n)
-        rate_upper = f_c - p_c / math.sqrt(query.n)
+        rate_lower, rate_upper = (
+            _rate_at(*_rate_terms(query.attacker, direction, summary,
+                                  query.epsilon, query.delta,
+                                  query.security_bits), query.n)
+            for direction in ("achievability", "converse"))
     return BoundResult(
         rate_lower=rate_lower,
         rate_upper=rate_upper,

@@ -153,8 +153,7 @@ def averaged_channel(q: InputQuantizer, model: PufModel | None = None,
 
 def digital_extension(base: ChannelMatrix, p_d: float) -> ChannelMatrix:
     """Pass the channel output through an erasure channel EC(p_d)."""
-    if not 0.0 <= p_d <= 1.0:
-        raise DomainError(f"p_d must lie in [0,1], got {p_d}")
+    AttackerSpec("digital", p_d=p_d)
     p = np.hstack([(1.0 - p_d) * base.p,
                    np.full((base.inputs, 1), p_d)])
     return ChannelMatrix(p, base.input_labels, base.output_labels + (ERASURE,),
@@ -169,8 +168,7 @@ def analog_extension(base: ChannelMatrix, q: InputQuantizer,
     but analog erased with probability (p_a - p_d); otherwise the analog
     reading recovers the enrolled secret exactly.
     """
-    if not 0.0 <= p_d <= p_a <= 1.0:
-        raise DomainError(f"need 0 <= p_d <= p_a <= 1, got p_d={p_d}, p_a={p_a}")
+    AttackerSpec("analog", p_d=p_d, p_a=p_a)
     if base.inputs != q.levels:
         raise DomainError("channel inputs do not match quantizer levels")
     n = base.inputs

@@ -59,12 +59,8 @@ def _quantizer(ctx, levels, strategy, attacker=None, step=None):
                                 step or tables.FIXED_RANGE / levels)
     if attacker is None:
         _fail("--strategy optimized needs an attacker objective")
-    res = opt_mod.optimize_quantizer(
-        model, levels, attacker,
-        tables._OPT_BUDGETS.get(levels, 300),
-        nodes=min(ctx.obj["nodes"], 64), seed=ctx.obj["seed"],
-        random_starts=tables._OPT_RANDOM_STARTS.get(levels, 2))
-    return res.quantizer
+    return tables.optimized_quantizer(model, levels, attacker,
+                                      ctx.obj["nodes"], ctx.obj["seed"])
 
 
 def _attacker(kind, p_d, p_a):

@@ -1,16 +1,11 @@
-"""Discrete information measures and the dispersion (second-order variance)
-terms for one-way secret sharing from a correlated source.
+"""Discrete information measures and the conditional mutual information
+I(S; S~ | W) of the helper-data channel.
 
 All logarithms are base 2; every quantity below is in bits.  The zero-mass
 convention 0*log(0) = 0 applies throughout.
 """
 
 from __future__ import annotations
-
-import csv
-import dataclasses
-import io
-import warnings
 
 import numpy as np
 
@@ -47,151 +42,6 @@ def mutual_information(joint) -> float:
     return max(float(j[nz] @ np.log2(ratio)), 0.0)
 
 
-def kl_divergence(p, q) -> float:
-    """D(p || q) in bits; +inf when supp(p) is not inside supp(q)."""
-    p = _validate_pmf(p).ravel()
-    q = _validate_pmf(q).ravel()
-    if p.shape != q.shape:
-        raise DomainError("pmfs must share a domain")
-    nz = p > 0
-    if np.any(q[nz] == 0):
-        return float("inf")
-    return float(p[nz] @ np.log2(p[nz] / q[nz]))
-
-
-def variational_distance(p, q) -> float:
-    """Half the L1 distance between two pmfs; lies in [0,1]."""
-    p = _validate_pmf(p).ravel()
-    q = _validate_pmf(q).ravel()
-    if p.shape != q.shape:
-        raise DomainError("pmfs must share a domain")
-    return float(0.5 * np.abs(p - q).sum())
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class DiscreteJointSource:
-    """Joint pmf over two or three finite alphabets (X, Y and optional Z)."""
-
-    pmf: np.ndarray
-
-    def __post_init__(self):
-        if self.pmf.ndim not in (2, 3):
-            raise DomainError("source pmf must be 2-D or 3-D")
-        _validate_pmf(self.pmf)
-
-    @property
-    def has_z(self) -> bool:
-        return self.pmf.ndim == 3
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscreteJointSource":
-        """Rows of `x,y[,z],probability`; alphabet sizes are inferred."""
-        rows = [r for r in csv.reader(io.StringIO(text)) if r]
-        if rows and not rows[0][-1].replace(".", "").replace("e-", "").replace(
-                "e+", "").lstrip("-").isdigit():
-            rows = rows[1:]  # header
-        parsed = [([int(v) for v in r[:-1]], float(r[-1])) for r in rows]
-        dims = len(parsed[0][0])
-        shape = tuple(max(idx[d] for idx, _ in parsed) + 1 for d in range(dims))
-        pmf = np.zeros(shape)
-        for idx, pr in parsed:
-            pmf[tuple(idx)] += pr
-        return cls(pmf)
-
-
-def _second_moment_minus_square(weights, logratio):
-    """sum w*log2(r)^2 - (sum w*log2(r))^2 over positive-weight terms."""
-    m2 = float(weights @ (logratio ** 2))
-    m1 = float(weights @ logratio)
-    return max(m2 - m1 * m1, 0.0)
-
-
-def dispersion_v1_oneway(joint) -> float:
-    """Variance of the legitimate-channel information density for the
-    one-time-pad secret-sharing construction: reference measure is the
-    uniform input times the output marginal."""
-    j = _validate_pmf(joint)
-    if j.ndim != 2:
-        raise DomainError("joint pmf must be 2-D")
-    nx = j.shape[0]
-    py = j.sum(axis=0)
-    nz = j > 0
-    ratio = j[nz] * nx / np.broadcast_to(py, j.shape)[nz]
-    return _second_moment_minus_square(j[nz], np.log2(ratio))
-
-
-def dispersion_v2_oneway(joint) -> float:
-    """Same functional as dispersion_v1_oneway with the eavesdropper share
-    in place of the legitimate one."""
-    return dispersion_v1_oneway(joint)
-
-
-def dispersion_vc_oneway(source: DiscreteJointSource) -> float:
-    """Converse dispersion for the one-way protocol on a full (X,Y,Z)
-    source; reference measure P_XZ * P_{Y|Z}."""
-    if not source.has_z:
-        raise DomainError("dispersion_vc_oneway needs a three-part source")
-    j = source.pmf
-    pxz = j.sum(axis=1)
-    pyz = j.sum(axis=0)
-    pz = pyz.sum(axis=0)
-    nz = j > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ref = pxz[:, None, :] * (pyz / pz)[None, :, :]
-    ratio = j[nz] / ref[nz]
-    return _second_moment_minus_square(j[nz], np.log2(ratio))
-
-
-def dispersion_vc_prime(source: DiscreteJointSource,
-                        markov_tol: float = 1e-9) -> float:
-    """Exact secret-key dispersion for sources with X -> Y -> Z; the
-    divergence term is squared per x before averaging."""
-    if not source.has_z:
-        raise DomainError("dispersion_vc_prime needs a three-part source")
-    j = source.pmf
-    if _markov_violation(j) > markov_tol:
-        warnings.warn("source does not satisfy the Markov chain X -> Y -> Z; "
-                      "the dispersion formula loses its operational meaning",
-                      stacklevel=2)
-    px = j.sum(axis=(1, 2))
-    pxz = j.sum(axis=1)
-    pyz = j.sum(axis=0)
-    pz = pyz.sum(axis=0)
-    total = 0.0
-    for xi in range(j.shape[0]):
-        if px[xi] == 0:
-            continue
-        w = j[xi] / px[xi]                       # P_{YZ|X=x}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ref = (pxz[xi] / px[xi])[None, :] * (pyz / pz)
-        nz = w > 0
-        lr = np.log2(w[nz] / ref[nz])
-        total += px[xi] * _second_moment_minus_square(w[nz], lr)
-    return max(float(total), 0.0)
-
-
-def _markov_violation(j) -> float:
-    """Max deviation of P_XYZ from P_XY * P_{Z|Y} in absolute probability."""
-    pxy = j.sum(axis=2)
-    pyz = j.sum(axis=0)
-    py = pyz.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pz_given_y = np.where(py[:, None] > 0, pyz / py[:, None], 0.0)
-    model = pxy[:, :, None] * pz_given_y[None, :, :]
-    return float(np.max(np.abs(j - model)))
-
-
-def list_decoding_bound(delta: float, list_size: int,
-                        message_count: float) -> float:
-    """Lower bound on the chance the secret misses an eavesdropper's
-    decoding list of the given size."""
-    if list_size < 1 or message_count < 1:
-        raise DomainError("list size and message count must be >= 1")
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError(f"delta must lie in [0,1], got {delta}")
-    return max(0.0, 1.0 - delta - list_size / message_count)
-
-
 def _mi_per_node(mats, probs):
     """I(S;S~|W=w) at each quadrature node from stacked channel matrices.
 
@@ -207,6 +57,14 @@ def _mi_per_node(mats, probs):
     return contrib.sum(axis=(1, 2))
 
 
+def _conditional_mi(q: InputQuantizer, model: PufModel, nodes: int) -> float:
+    """I(S; S~ | W) in bits by `nodes`-point Gauss-Legendre quadrature over
+    the uniform helper value; the one implementation every rate uses."""
+    xs, wts = unit_interval_rule(nodes)
+    mats = channel_mod.per_w_channels(q, xs, model)
+    return float(wts @ _mi_per_node(mats, q.probs))
+
+
 def conditional_mi_given_w(q: InputQuantizer, model: PufModel | None = None,
                            nodes: int = 128, full_output: bool = False):
     """I(S; S~ | W) in bits, integrating the per-helper-value mutual
@@ -214,14 +72,8 @@ def conditional_mi_given_w(q: InputQuantizer, model: PufModel | None = None,
     model = model or q.model
     if nodes < 16:
         raise DomainError(f"nodes must be >= 16, got {nodes}")
-
-    def estimate(k):
-        xs, wts = unit_interval_rule(k)
-        mats = channel_mod.per_w_channels(q, xs, model)
-        return float(wts @ _mi_per_node(mats, q.probs))
-
-    val = estimate(nodes)
+    val = _conditional_mi(q, model, nodes)
     if not full_output:
         return val
-    delta = abs(estimate(2 * nodes) - val)
+    delta = abs(_conditional_mi(q, model, 2 * nodes) - val)
     return val, {"refinement_delta": delta, "quadrature_warning": delta > 1e-6}

@@ -145,6 +145,21 @@ def make_equidistant(model: PufModel, levels: int, step: float) -> InputQuantize
         ) from e
 
 
+def helper_values(q: InputQuantizer, x: np.ndarray):
+    """Interval indices and zero-leakage helper values of the points x.
+
+    The helper value is the fraction of the interval's mass left of x, taken
+    on the numerically safe side of the distribution and clipped into
+    [0, 1).  A point exactly on a border belongs to the upper interval.
+    """
+    t = np.searchsorted(q.inner_borders, x, side="right")
+    z = x / q.model.sigma_p
+    w = np.where(x <= 0,
+                 (special.ndtr(z) - q.cdf[t]) / q.probs[t],
+                 (q.sf[t] - special.ndtr(-z)) / q.probs[t])
+    return t, np.clip(w, 0.0, np.nextafter(1.0, 0.0))
+
+
 def helper_data(q: InputQuantizer, x: float):
     """Quantize x and compute its zero-leakage helper value.
 
@@ -155,14 +170,8 @@ def helper_data(q: InputQuantizer, x: float):
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    t = int(np.searchsorted(q.inner_borders, x, side="right"))
-    z = x / q.model.sigma_p
-    if x <= 0:
-        w = (special.ndtr(z) - q.cdf[t]) / q.probs[t]
-    else:
-        w = (q.sf[t] - special.ndtr(-z)) / q.probs[t]
-    w = min(max(float(w), 0.0), np.nextafter(1.0, 0.0))
-    return t, w
+    t, w = helper_values(q, np.float64(x))
+    return int(t), float(w)
 
 
 def sibling_point(q: InputQuantizer, t: int, w: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special, stats as scistats
 
 from .stats import DomainError, PufModel
-from .quantizer import InputQuantizer, sibling_points
+from .quantizer import InputQuantizer, helper_values, sibling_points
 from .channel import AttackerSpec
 
 _CHUNK = 1_000_000
@@ -95,13 +95,7 @@ def _simulate_chunk(cfg: SimConfig, start, size):
     model = cfg.model
     u = _uniforms(cfg.seed, start, size)
     x = model.sigma_p * special.ndtri(u[:, 0])
-    s = np.searchsorted(q.inner_borders, x, side="right")
-    # helper value on the numerically safe side of the distribution
-    z = x / model.sigma_p
-    w = np.where(x <= 0,
-                 (special.ndtr(z) - q.cdf[s]) / q.probs[s],
-                 (q.sf[s] - special.ndtr(-z)) / q.probs[s])
-    w = np.clip(w, 0.0, np.nextafter(1.0, 0.0))
+    s, w = helper_values(q, x)
     centers = sibling_points(q, w)                       # (size, N)
     if model.sigma_n == 0:
         # noiseless limit of the MAP rule: nearest sibling point
@@ -167,20 +161,16 @@ def leakage_test(cfg: SimConfig, *, helper: str = "zero-leakage") -> dict:
         size = min(_CHUNK, cfg.samples - done)
         u = _uniforms(cfg.seed, done, size)
         x = cfg.model.sigma_p * special.ndtri(u[:, 0])
-        s = np.searchsorted(q.inner_borders, x, side="right")
         if helper == "zero-leakage":
-            z = x / cfg.model.sigma_p
-            w = np.where(x <= 0,
-                         (special.ndtr(z) - q.cdf[s]) / q.probs[s],
-                         (q.sf[s] - special.ndtr(-z)) / q.probs[s])
+            s, w = helper_values(q, x)
         else:
             # linear position within the (finite part of the) interval
+            s = np.searchsorted(q.inner_borders, x, side="right")
             lo = np.where(np.isfinite(q.borders[s]), q.borders[s],
                           q.borders[1] - 3 * cfg.model.sigma_p)
             hi = np.where(np.isfinite(q.borders[s + 1]), q.borders[s + 1],
                           q.borders[-2] + 3 * cfg.model.sigma_p)
-            w = (x - lo) / (hi - lo)
-        w = np.clip(w, 0.0, np.nextafter(1.0, 0.0))
+            w = np.clip((x - lo) / (hi - lo), 0.0, np.nextafter(1.0, 0.0))
         for t in range(q.levels):
             per_level[t].append(w[s == t])
         done += size

@@ -39,37 +39,6 @@ class PufModel:
                 f"sigma_n must be finite and nonnegative, got {self.sigma_n!r}")
 
 
-def gaussian_cdf(x, mu=0.0, sigma=1.0):
-    """CDF of N(mu, sigma^2).  Accurate in the lower tail down to ~1e-300."""
-    if not (math.isfinite(mu) and math.isfinite(sigma)) or sigma <= 0:
-        raise DomainError(f"invalid Gaussian parameters mu={mu}, sigma={sigma}")
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) | np.isinf(x)):
-        raise DomainError("non-finite (NaN) argument to gaussian_cdf")
-    out = special.ndtr((x - mu) / sigma)
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_sf(x, mu=0.0, sigma=1.0):
-    """Upper tail P(X > x) of N(mu, sigma^2), accurate for large x."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    x = np.asarray(x, dtype=float)
-    out = special.ndtr((mu - x) / sigma)
-    return float(out) if out.ndim == 0 else out
-
-
-def gaussian_quantile(p, mu=0.0, sigma=1.0):
-    """Inverse CDF of N(mu, sigma^2).  p may touch 0/1 (gives -/+inf)."""
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise DomainError("quantile argument outside [0, 1]")
-    out = mu + sigma * special.ndtri(p)
-    return float(out) if out.ndim == 0 else out
-
-
 def q_function(x):
     """Gaussian tail integral Q(x) = P(N(0,1) > x)."""
     x = np.asarray(x, dtype=float)
@@ -132,31 +101,3 @@ def unit_interval_rule(nodes: int):
     t, w = np.polynomial.legendre.leggauss(nodes)
     return (t + 1.0) / 2.0, w / 2.0
 
-
-def integrate_unit_interval(f, nodes: int = 128):
-    """Gauss-Legendre estimate of the integral of f over [0, 1].
-
-    ``f`` is called once per node; vectorized callables get the full node
-    array in a single call.
-    """
-    if nodes < 16:
-        raise DomainError(f"nodes must be >= 16, got {nodes}")
-    x, w = unit_interval_rule(nodes)
-    try:
-        y = np.asarray(f(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        y = np.array([float(f(xi)) for xi in x])
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise DomainError(f"integrand not finite at node w={bad!r}")
-    return float(y @ w)
-
-
-def integrate_unit_interval_with_error(f, nodes: int = 128):
-    """Same as integrate_unit_interval but also reports the change when the
-    node count is doubled, usable as an error estimate."""
-    coarse = integrate_unit_interval(f, nodes)
-    fine = integrate_unit_interval(f, 2 * nodes)
-    return coarse, abs(fine - coarse)

@@ -167,6 +167,16 @@ def equidistant_reference(model: PufModel, levels: int) -> InputQuantizer:
     return make_equidistant(model, levels, FIXED_RANGE / levels)
 
 
+def optimized_quantizer(model: PufModel, levels: int, attacker: AttackerSpec,
+                        nodes: int, seed: int) -> InputQuantizer:
+    """Best quantizer the optimizer finds against `attacker` with this
+    module's per-alphabet effort, searching at no more than 64 nodes."""
+    return optimize.optimize_quantizer(
+        model, levels, attacker, _OPT_BUDGETS.get(levels, 300),
+        nodes=min(nodes, 64), seed=seed,
+        random_starts=_OPT_RANDOM_STARTS.get(levels, 2)).quantizer
+
+
 def _rate_row(model, levels, p_d, p_a, nodes, seed):
     dig = AttackerSpec("digital", p_d=p_d)
     ana = AttackerSpec("analog", p_d=p_d, p_a=p_a)
@@ -178,17 +188,8 @@ def _rate_row(model, levels, p_d, p_a, nodes, seed):
 
     eq_dig, eq_ana = pair(equidistant_reference(model, levels))
     ep_dig, ep_ana = pair(make_equiprobable(model, levels))
-    budget = _OPT_BUDGETS.get(levels, 300)
-    starts = _OPT_RANDOM_STARTS.get(levels, 2)
-    opt_nodes = min(nodes, 64)
-    res_d = optimize.optimize_quantizer(model, levels, dig, budget,
-                                        nodes=opt_nodes, seed=seed,
-                                        random_starts=starts)
-    res_a = optimize.optimize_quantizer(model, levels, ana, budget,
-                                        nodes=opt_nodes, seed=seed,
-                                        random_starts=starts)
-    op_dig, _ = pair(res_d.quantizer)
-    _, op_ana = pair(res_a.quantizer)
+    op_dig, _ = pair(optimized_quantizer(model, levels, dig, nodes, seed))
+    _, op_ana = pair(optimized_quantizer(model, levels, ana, nodes, seed))
     # the optimizer never reports worse than its starts at its own node
     # count; re-scoring at full resolution keeps that guarantee explicit
     op_dig = max(op_dig, ep_dig)

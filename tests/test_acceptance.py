@@ -15,14 +15,14 @@ from pufsec.stats import PufModel, q_inverse, q_function
 from pufsec.quantizer import (make_equidistant, make_equiprobable,
                               output_quantizer, reconstruct, sibling_points)
 from pufsec.channel import AttackerSpec, averaged_channel, per_w_channels
-from pufsec.info import DiscreteJointSource, dispersion_vc_oneway, \
-    dispersion_vc_prime
 from pufsec import bounds
 from pufsec.optimize import optimize_quantizer
 from pufsec.sim import SimConfig, leakage_test, run_simulation
 from pufsec.tables import (PUBLISHED, TableSpec, equidistant_reference,
                            generate_table)
 from pufsec.stats import unit_interval_rule
+from oracles import erasure_joint, oracle_v1, oracle_vc, oracle_vc_prime, \
+    random_markov
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -206,29 +206,15 @@ def test_criterion_7_property_suite():
     # dispersion formula vs enumeration oracle (small alphabet)
     s4 = bounds.summarize_channel(make_equiprobable(MODEL, 4), MODEL,
                                   nodes=64)
-    joint = s4.joint
-    jd = np.hstack([(1 - 0.18) * joint, 0.18 * joint.sum(1, keepdims=True)])
-    m1 = m2 = 0.0
-    py = jd.sum(axis=0)
-    for i in range(4):
-        for j in range(5):
-            if jd[i, j] > 0:
-                r = math.log2(jd[i, j] * 4 / py[j])
-                m1 += jd[i, j] * r
-                m2 += jd[i, j] * r * r
     ok = ok and abs(bounds.dispersion_v2_digital(s4, 0.18)
-                    - (m2 - m1 * m1)) < 1e-12
+                    - oracle_v1(erasure_joint(s4.joint, 0.18))) < 1e-12
 
     # strict improvement of the exact converse dispersion, 100 sources
     rng = np.random.default_rng(42)
     for _ in range(100):
         nx, ny, nz = rng.integers(2, 6, size=3)
-        px = rng.dirichlet(np.ones(nx))
-        pyx = np.stack([rng.dirichlet(np.ones(ny)) for _ in range(nx)])
-        pzy = np.stack([rng.dirichlet(np.ones(nz)) for _ in range(ny)])
-        pmf = px[:, None, None] * pyx[:, :, None] * pzy[None, :, :]
-        src = DiscreteJointSource(pmf)
-        ok = ok and dispersion_vc_prime(src) < dispersion_vc_oneway(src)
+        pmf = random_markov(rng, nx, ny, nz)
+        ok = ok and oracle_vc_prime(pmf) < oracle_vc(pmf)
 
     # q_inverse round-trip down to 2^-256
     for lam in (1, 16, 64, 128, 256):

@@ -6,10 +6,9 @@ import pytest
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.channel import AttackerSpec
-from pufsec.info import (DiscreteJointSource, dispersion_v1_oneway,
-                         dispersion_v2_oneway, dispersion_vc_oneway,
-                         dispersion_vc_prime)
 from pufsec import bounds
+from oracles import (analog_triple, digital_triple, erasure_joint, oracle_v1,
+                     oracle_vc, oracle_vc_prime)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -61,69 +60,41 @@ class TestAsymptoticRates:
             bounds.asymptotic_rate_analog(summaries[4], p_d=0.5, p_a=0.4)
 
 
-def erasure_joint(joint, p_d):
-    """Joint pmf of (S, S~_d) after EC(p_d) on the second coordinate."""
-    return np.hstack([(1 - p_d) * joint, p_d * joint.sum(1, keepdims=True)])
-
-
-def digital_triple(joint, p_d):
-    """(S, S~, S~_d) pmf: the erasure acts on S~ only."""
-    n_in, n_out = joint.shape
-    pmf = np.zeros((n_in, n_out, n_out + 1))
-    for i in range(n_in):
-        for j in range(n_out):
-            pmf[i, j, j] = (1 - p_d) * joint[i, j]
-            pmf[i, j, n_out] = p_d * joint[i, j]
-    return DiscreteJointSource(pmf)
-
-
-def analog_triple(joint, p_d, p_a):
-    """(S, S~, (S~_d, S~_a)) pmf with the three shared-erasure outcomes."""
-    n, m = joint.shape
-    pmf = np.zeros((n, m, (m + 1) * (n + 1)))
-    for i in range(n):
-        for j in range(m):
-            pmf[i, j, m * (n + 1) + n] += p_d * joint[i, j]
-            pmf[i, j, j * (n + 1) + n] += (p_a - p_d) * joint[i, j]
-            pmf[i, j, j * (n + 1) + i] += (1 - p_a) * joint[i, j]
-    return DiscreteJointSource(pmf)
-
-
 class TestDispersionCrossChecks:
-    """Closed-form dispersions against the generic functionals evaluated
+    """Closed-form dispersions against the enumeration oracles evaluated
     on explicitly constructed attacker-extended sources (1e-12)."""
 
     def test_v1_route(self, summaries):
         for s in summaries.values():
             assert bounds.dispersion_v1(s) == pytest.approx(
-                dispersion_v1_oneway(s.joint), abs=1e-12)
+                oracle_v1(s.joint), abs=1e-12)
 
     @pytest.mark.parametrize("p_d", [0.1, 0.18, 0.5])
     def test_v2_digital_route(self, summaries, p_d):
         for s in summaries.values():
             assert bounds.dispersion_v2_digital(s, p_d) == pytest.approx(
-                dispersion_v2_oneway(erasure_joint(s.joint, p_d)), abs=1e-12)
+                oracle_v1(erasure_joint(s.joint, p_d)), abs=1e-12)
 
     @pytest.mark.parametrize("p_d", [0.1, 0.18])
     def test_vc_prime_digital_route(self, summaries, p_d):
         for s in summaries.values():
             assert bounds.dispersion_vc_prime_digital(s, p_d) == \
-                pytest.approx(dispersion_vc_prime(digital_triple(s.joint, p_d)),
+                pytest.approx(oracle_vc_prime(digital_triple(s.joint, p_d)),
                               abs=1e-12)
 
     def test_vc_analog_theorem_route(self, summaries):
         p_d, p_a = 0.18, 0.36
         for s in summaries.values():
             assert bounds.dispersion_vc_analog(s, p_d, "theorem") == \
-                pytest.approx(dispersion_vc_oneway(
-                    analog_triple(s.joint, p_d, p_a)), abs=1e-12)
+                pytest.approx(oracle_vc(analog_triple(s.joint, p_d, p_a)),
+                              abs=1e-12)
 
     @pytest.mark.parametrize("p_d,p_a", [(0.18, 0.36), (0.1, 0.2), (0.3, 0.9)])
     def test_v2_analog_route(self, summaries, p_d, p_a):
         for s in summaries.values():
-            ext = analog_triple(s.joint, p_d, p_a).pmf.sum(axis=1)
+            ext = analog_triple(s.joint, p_d, p_a).sum(axis=1)
             assert bounds.dispersion_v2_analog(s, p_d, p_a) == pytest.approx(
-                dispersion_v2_oneway(ext), abs=1e-12)
+                oracle_v1(ext), abs=1e-12)
 
     def test_vc_analog_pa_independent(self, summaries):
         s = summaries[4]
@@ -213,6 +184,69 @@ class TestFiniteRates:
         with pytest.raises(DomainError):
             bounds.finite_rate_digital_ach(summaries[4], p_d=0.18, n=100,
                                            epsilon=0.7, delta=0.5)
+        with pytest.raises(DomainError):        # neither delta nor lambda
+            bounds.finite_rate_digital_ach(summaries[4], p_d=0.18, n=100,
+                                           epsilon=1e-6)
+
+
+    @pytest.mark.parametrize("kind", ["digital", "analog"])
+    @pytest.mark.parametrize("direction", ["achievability", "converse"])
+    def test_finite_rate_is_min_cells_rate(self, summaries, kind, direction):
+        # the finite_rate_* functions evaluate the same first - penalty /
+        # sqrt(n) that min_cells inverts
+        s = summaries[8]
+        att = AttackerSpec(kind, p_d=0.18,
+                           p_a=0.36 if kind == "analog" else None)
+        kw = {"p_d": 0.18, "epsilon": 1e-6, "security_bits": 128}
+        if kind == "analog":
+            kw["p_a"] = 0.36
+        fn = getattr(bounds, f"finite_rate_{kind}_"
+                             f"{'ach' if direction == 'achievability' else 'conv'}")
+        first, penalty = bounds._rate_terms(att, direction, s, 1e-6,
+                                            security_bits=128)
+        for m in (1, 7, 459, 1508, 20000):
+            assert fn(s, n=m, **kw) == pytest.approx(
+                first - penalty / math.sqrt(m), rel=1e-12)
+
+
+_Q4 = make_equiprobable(MODEL, 4)
+_FIN = {"n": 1000, "epsilon": 1e-6, "security_bits": 128}
+DIGITAL_RATES = {
+    "asymptotic_rate_digital":
+        lambda p_d: bounds.asymptotic_rate_digital(_Q4, p_d=p_d),
+    "finite_rate_digital_ach":
+        lambda p_d: bounds.finite_rate_digital_ach(_Q4, p_d=p_d, **_FIN),
+    "finite_rate_digital_conv":
+        lambda p_d: bounds.finite_rate_digital_conv(_Q4, p_d=p_d, **_FIN),
+}
+ANALOG_RATES = {
+    "asymptotic_rate_analog":
+        lambda p_d, p_a: bounds.asymptotic_rate_analog(_Q4, p_d=p_d, p_a=p_a),
+    "finite_rate_analog_ach":
+        lambda p_d, p_a: bounds.finite_rate_analog_ach(_Q4, p_d=p_d, p_a=p_a,
+                                                       **_FIN),
+    "finite_rate_analog_conv":
+        lambda p_d, p_a: bounds.finite_rate_analog_conv(_Q4, p_d=p_d, p_a=p_a,
+                                                        **_FIN),
+}
+
+
+class TestParameterDomain:
+    """Every loose-parameter rate function rejects an out-of-range
+    (p_d, p_a) with a DomainError."""
+
+    @pytest.mark.parametrize("name", sorted(DIGITAL_RATES))
+    @pytest.mark.parametrize("p_d", [-0.1, 1.5, math.nan])
+    def test_digital_pd_out_of_range(self, name, p_d):
+        with pytest.raises(DomainError):
+            DIGITAL_RATES[name](p_d)
+
+    @pytest.mark.parametrize("name", sorted(ANALOG_RATES))
+    @pytest.mark.parametrize("p_d,p_a", [(-0.1, 0.5), (1.5, 1.5),
+                                         (0.36, 0.18), (0.18, 1.2)])
+    def test_analog_pd_pa_out_of_range(self, name, p_d, p_a):
+        with pytest.raises(DomainError):
+            ANALOG_RATES[name](p_d, p_a)
 
 
 class TestMinCells:
@@ -242,7 +276,8 @@ class TestMinCells:
                                       epsilon=1e-6, security_bits=lam)
             for direction in ("achievability", "converse"):
                 got = bounds.min_cells(query, direction, summary=s)
-                first, pen = bounds._rate_fn(query, direction, s)
+                first, pen = bounds._rate_terms(att, direction, s, 1e-6,
+                                                security_bits=lam)
                 scan = next(n for n in range(1, 100000)
                             if n * max(first - pen / math.sqrt(n), 0.0) >= lam)
                 assert got == scan

@@ -50,6 +50,27 @@ class TestRate:
         assert "p_d" in res.output
 
 
+BAD_ATTACKERS = [
+    ("digital", "1.5", None), ("digital", "-0.1", None),
+    ("analog", "0.36", "0.18"), ("analog", "0.18", "1.2"),
+]
+
+
+@pytest.mark.parametrize("command", ["rate", "cells", "audit"])
+@pytest.mark.parametrize("kind,p_d,p_a", BAD_ATTACKERS)
+def test_bad_pd_pa_is_usage_error(runner, command, kind, p_d, p_a):
+    args = [command, "--attacker", kind, "--pd", p_d]
+    if p_a is not None:
+        args += ["--pa", p_a]
+    if command == "cells":
+        args += ["--security", "128"]
+    elif command == "audit":
+        args += ["--cells", "1000"]
+    res = run(runner, *args)            # a traceback would raise here
+    assert res.exit_code == 2
+    assert "Error:" in res.output
+
+
 class TestCells:
     def test_published_cell_counts(self, runner):
         res = run(runner, "--format", "json", "cells", "--attacker",

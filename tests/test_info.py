@@ -1,29 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
+from oracles import (analog_triple, digital_triple, erasure_joint, oracle_v1,
+                     oracle_vc, oracle_vc_prime, random_markov)
+from pufsec import bounds
 from pufsec.stats import DomainError, PufModel
-from pufsec.quantizer import make_equiprobable
-from pufsec.info import (DiscreteJointSource, conditional_mi_given_w,
-                         dispersion_v1_oneway, dispersion_v2_oneway,
-                         dispersion_vc_oneway, dispersion_vc_prime, entropy,
-                         kl_divergence, list_decoding_bound,
-                         mutual_information, variational_distance)
-
-
-def random_joint(rng, nx, ny, nz=None):
-    shape = (nx, ny) if nz is None else (nx, ny, nz)
-    j = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
-    return j
-
-
-def random_markov(rng, nx, ny, nz):
-    """P_XYZ = P_X P_{Y|X} P_{Z|Y}: a genuine X -> Y -> Z chain."""
-    px = rng.dirichlet(np.ones(nx))
-    pyx = np.stack([rng.dirichlet(np.ones(ny)) for _ in range(nx)])
-    pzy = np.stack([rng.dirichlet(np.ones(nz)) for _ in range(ny)])
-    return px[:, None, None] * pyx[:, :, None] * pzy[None, :, :]
+from pufsec.quantizer import make_equidistant, make_equiprobable
+from pufsec.info import conditional_mi_given_w, entropy, mutual_information
 
 
 class TestBasicMeasures:
@@ -42,116 +25,64 @@ class TestBasicMeasures:
         j = np.diag([0.2, 0.3, 0.5])
         assert mutual_information(j) == pytest.approx(entropy(j.sum(1)), abs=1e-14)
 
-    def test_kl_and_variational(self):
-        p = np.array([0.5, 0.5])
-        q = np.array([0.25, 0.75])
-        ref = 0.5 * math.log2(2.0) + 0.5 * math.log2(2.0 / 3.0)
-        assert kl_divergence(p, q) == pytest.approx(ref, abs=1e-14)
-        assert variational_distance(p, q) == pytest.approx(0.25, abs=1e-15)
-        assert kl_divergence(p, np.array([1.0, 0.0])) == math.inf
-
     def test_pmf_validation(self):
         with pytest.raises(DomainError):
             entropy(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             mutual_information(np.full(4, 0.25))
 
-    def test_list_decoding_bound(self):
-        assert list_decoding_bound(0.0, 1, 2 ** 128) == pytest.approx(1.0)
-        with pytest.raises(DomainError):
-            list_decoding_bound(0.5, 0, 10)
+
+def random_summary(rng):
+    """Summary of a random 2-8 level quantizer (equiprobable or equidistant)
+    under a noise level drawn log-uniformly from [60, 400]."""
+    model = PufModel(2241.0, float(np.exp(rng.uniform(np.log(60), np.log(400)))))
+    levels = int(rng.integers(2, 9))
+    if rng.random() < 0.5:
+        q = make_equiprobable(model, levels)
+    else:
+        q = make_equidistant(model, levels, 20000.0 / levels)
+    return bounds.summarize_channel(q, model, nodes=64)
 
 
-def oracle_v1(j):
-    """Direct enumeration of Var[log2(P_XY(x,y)|X| / P_Y(y))]."""
-    nx, ny = j.shape
-    py = j.sum(axis=0)
-    m1 = m2 = 0.0
-    for x in range(nx):
-        for y in range(ny):
-            if j[x, y] > 0:
-                r = math.log2(j[x, y] * nx / py[y])
-                m1 += j[x, y] * r
-                m2 += j[x, y] * r * r
-    return m2 - m1 * m1
-
-
-def oracle_vc(pmf):
-    """Var[log2(P_XYZ / (P_XZ P_{Y|Z}))] by enumeration."""
-    nx, ny, nz = pmf.shape
-    pxz = pmf.sum(axis=1)
-    pyz = pmf.sum(axis=0)
-    pz = pyz.sum(axis=0)
-    m1 = m2 = 0.0
-    for x in range(nx):
-        for y in range(ny):
-            for z in range(nz):
-                if pmf[x, y, z] > 0:
-                    r = math.log2(pmf[x, y, z] /
-                                  (pxz[x, z] * pyz[y, z] / pz[z]))
-                    m1 += pmf[x, y, z] * r
-                    m2 += pmf[x, y, z] * r * r
-    return m2 - m1 * m1
-
-
-def oracle_vc_prime(pmf):
-    """sum_x P(x) Var[log2(P_{YZ|X} / (P_{Z|X} P_{Y|Z})) | X=x]."""
-    nx, ny, nz = pmf.shape
-    px = pmf.sum(axis=(1, 2))
-    pxz = pmf.sum(axis=1)
-    pyz = pmf.sum(axis=0)
-    pz = pyz.sum(axis=0)
-    total = 0.0
-    for x in range(nx):
-        if px[x] == 0:
-            continue
-        m1 = m2 = 0.0
-        for y in range(ny):
-            for z in range(nz):
-                if pmf[x, y, z] > 0:
-                    w = pmf[x, y, z] / px[x]
-                    r = math.log2(w / ((pxz[x, z] / px[x]) *
-                                       (pyz[y, z] / pz[z])))
-                    m1 += w * r
-                    m2 += w * r * r
-        total += px[x] * (m2 - m1 * m1)
-    return total
+def random_attacker(rng):
+    p_d = float(rng.uniform(0.0, 0.5))
+    return p_d, float(rng.uniform(p_d, 1.0))
 
 
 class TestDispersionOracles:
-    # acceptance property: formulas match enumeration to 1e-12 on
-    # alphabets of size <= 8
+    # acceptance property: the dispersion formulas match enumeration to
+    # 1e-12 on alphabets of size <= 8, here on random quantizers, noise
+    # levels and attacker parameters
 
     @pytest.mark.parametrize("seed", range(5))
     def test_v1_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
-        j = random_joint(rng, rng.integers(2, 9), rng.integers(2, 9))
-        assert dispersion_v1_oneway(j) == pytest.approx(oracle_v1(j), abs=1e-12)
-        assert dispersion_v2_oneway(j) == pytest.approx(oracle_v1(j), abs=1e-12)
+        s = random_summary(rng)
+        p_d, p_a = random_attacker(rng)
+        assert bounds.dispersion_v1(s) == pytest.approx(oracle_v1(s.joint),
+                                                        abs=1e-12)
+        assert bounds.dispersion_v2_digital(s, p_d) == pytest.approx(
+            oracle_v1(erasure_joint(s.joint, p_d)), abs=1e-12)
+        ext = analog_triple(s.joint, p_d, p_a).sum(axis=1)
+        assert bounds.dispersion_v2_analog(s, p_d, p_a) == pytest.approx(
+            oracle_v1(ext), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vc_matches_enumeration(self, seed):
         rng = np.random.default_rng(100 + seed)
-        pmf = random_joint(rng, rng.integers(2, 9), rng.integers(2, 9),
-                           rng.integers(2, 9))
-        src = DiscreteJointSource(pmf)
-        assert dispersion_vc_oneway(src) == pytest.approx(
-            oracle_vc(pmf), abs=1e-12)
+        s = random_summary(rng)
+        p_d, p_a = random_attacker(rng)
+        assert bounds.dispersion_vc_analog(s, p_d, "theorem") == \
+            pytest.approx(oracle_vc(analog_triple(s.joint, p_d, p_a)),
+                          abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vc_prime_matches_enumeration(self, seed):
         rng = np.random.default_rng(200 + seed)
-        pmf = random_markov(rng, int(rng.integers(2, 7)),
-                            int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-        src = DiscreteJointSource(pmf)
-        assert dispersion_vc_prime(src) == pytest.approx(
-            oracle_vc_prime(pmf), abs=1e-12)
-
-    def test_vc_prime_warns_off_markov(self):
-        rng = np.random.default_rng(3)
-        pmf = random_joint(rng, 3, 3, 3)
-        with pytest.warns(UserWarning):
-            dispersion_vc_prime(DiscreteJointSource(pmf))
+        s = random_summary(rng)
+        p_d, _ = random_attacker(rng)
+        assert bounds.dispersion_vc_prime_digital(s, p_d) == pytest.approx(
+            oracle_vc_prime(digital_triple(s.joint, p_d)), abs=1e-12)
 
     def test_strict_improvement_on_100_markov_sources(self):
         # acceptance property: the exact converse dispersion is strictly
@@ -161,28 +92,7 @@ class TestDispersionOracles:
             pmf = random_markov(rng, int(rng.integers(2, 6)),
                                 int(rng.integers(2, 6)),
                                 int(rng.integers(2, 6)))
-            src = DiscreteJointSource(pmf)
-            assert dispersion_vc_prime(src) < dispersion_vc_oneway(src)
-
-
-class TestJointSource:
-    def test_from_csv_with_header(self):
-        text = "x,y,p\n0,0,0.5\n0,1,0.25\n1,1,0.25\n"
-        src = DiscreteJointSource.from_csv(text)
-        assert src.pmf.shape == (2, 2)
-        assert src.pmf[0, 0] == 0.5
-        assert not src.has_z
-
-    def test_from_csv_three_part(self):
-        text = "0,0,0,0.5\n1,1,1,0.5\n"
-        src = DiscreteJointSource.from_csv(text)
-        assert src.has_z and src.pmf.shape == (2, 2, 2)
-
-    def test_invalid_pmf_rejected(self):
-        with pytest.raises(DomainError):
-            DiscreteJointSource(np.full((2, 2), 0.3))
-        with pytest.raises(DomainError):
-            DiscreteJointSource(np.array([0.5, 0.5]))
+            assert oracle_vc_prime(pmf) < oracle_vc(pmf)
 
 
 class TestConditionalMI:

@@ -78,6 +78,18 @@ class TestOptimizer:
                                  seed=0, random_starts=4)
         assert res.rate > 0.55
 
+    def test_rate_is_the_asymptotic_rate(self):
+        # one rate formula: the objective is exactly the public asymptotic
+        # rate (the lower bound for the analog attacker) at the search nodes
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64,
+                                 seed=0, random_starts=2)
+        assert dig.rate == bounds.asymptotic_rate_digital(
+            dig.quantizer, p_d=0.18, nodes=64)
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200, nodes=64,
+                                 seed=0, random_starts=2)
+        assert ana.rate == bounds.asymptotic_rate_analog(
+            ana.quantizer, p_d=0.18, p_a=0.36, nodes=64)[0]
+
     def test_budget_accounting(self):
         res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64,
                                  seed=0, random_starts=2)
