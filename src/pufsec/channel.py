@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import math
 
 import numpy as np
 from scipy import special
 
 from .stats import DomainError, PufModel, unit_interval_rule
-from .quantizer import InputQuantizer, output_quantizer, sibling_points
+from .quantizer import (InputQuantizer, _decision_borders, output_quantizer,
+                        sibling_points)
 
 ERASURE = "E"
 
@@ -79,55 +79,30 @@ class AttackerSpec:
                     f"analog attacker needs p_d <= p_a <= 1, got p_a={self.p_a}")
 
 
-def _row_probs(taus, x, sigma_n):
-    """P(Y lands in [tau_j, tau_{j+1})) for a Gaussian centered at each x."""
-    if sigma_n <= 0:
-        raise DomainError("channel matrices need sigma_n > 0")
-    z = (taus[None, :] - x[:, None]) / sigma_n
-    return np.diff(special.ndtr(z), axis=1)
-
-
 def channel_given_w(q: InputQuantizer, w: float,
                     model: PufModel | None = None) -> ChannelMatrix:
     """P(S~ = label | S = t, W = w) over the merged output alphabet."""
     model = model or q.model
     oq = output_quantizer(q, w, model)
-    x = sibling_points(q, w)
-    p = _row_probs(oq.borders, x, model.sigma_n)
+    p = per_w_channels(q, [w], model)[0][:, list(oq.labels)]
     return ChannelMatrix(p, tuple(range(q.levels)), oq.labels,
                          metadata={"helper_w": float(w)})
 
 
 def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
-    """Stack of per-helper-value channels scattered onto the full output
-    alphabet 0..N-1 (levels merged away at a given w get zero columns).
+    """Stack of per-helper-value channels on the full output alphabet
+    0..N-1 (levels merged away at a given w get zero columns).
 
-    Returns an array of shape (len(ws), N, N).  The all-adjacent candidate
-    borders are computed in one vectorized pass; only helper values that
-    actually trigger merging fall back to the scalar construction.
+    Returns an array of shape (len(ws), N, N): the Gaussian mass of each
+    sibling point between consecutive MAP decision borders.
     """
     model = model or q.model
     if model.sigma_n <= 0:
         raise DomainError("channel matrices need sigma_n > 0")
-    ws = np.asarray(ws, dtype=float)
-    n = q.levels
-    x = sibling_points(q, ws)                       # (K, N)
-    logratio = np.log(q.probs[:-1] / q.probs[1:])   # (N-1,)
-    taus = (logratio * model.sigma_n ** 2 / np.diff(x, axis=1)
-            + (x[:, :-1] + x[:, 1:]) / 2.0)         # (K, N-1)
-    out = np.empty((len(ws), n, n))
-    inf = np.full((len(ws), 1), np.inf)
-    full = np.concatenate((-inf, taus, inf), axis=1)
-    monotone = np.all(np.diff(taus, axis=1) > 0, axis=1) if n > 2 else \
-        np.ones(len(ws), dtype=bool)
-    z = (full[:, None, :] - x[:, :, None]) / model.sigma_n
-    out[:] = np.diff(special.ndtr(z), axis=2)
-    for k in np.nonzero(~monotone)[0]:
-        oq = output_quantizer(q, ws[k], model)
-        rows = _row_probs(oq.borders, x[k], model.sigma_n)
-        out[k] = 0.0
-        out[k][:, list(oq.labels)] = rows
-    return out
+    x = sibling_points(q, np.asarray(ws, dtype=float))      # (K, N)
+    b = _decision_borders(q, x, model.sigma_n)              # (K, N+1)
+    z = (b[:, None, :] - x[:, :, None]) / model.sigma_n
+    return np.diff(special.ndtr(z), axis=2)
 
 
 def averaged_channel(q: InputQuantizer, model: PufModel | None = None,

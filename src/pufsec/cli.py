@@ -11,7 +11,7 @@ import sys
 import click
 
 from .stats import DomainError, PufModel
-from .quantizer import InputQuantizer, make_equiprobable
+from .quantizer import make_equidistant, make_equiprobable
 from .channel import AttackerSpec
 from . import bounds, optimize as opt_mod, sim, tables
 
@@ -54,7 +54,6 @@ def _quantizer(ctx, levels, strategy, attacker=None, step=None):
     if strategy == "equiprobable":
         return make_equiprobable(model, levels)
     if strategy == "equidistant":
-        from .quantizer import make_equidistant
         return make_equidistant(model, levels,
                                 step or tables.FIXED_RANGE / levels)
     if attacker is None:
@@ -64,14 +63,11 @@ def _quantizer(ctx, levels, strategy, attacker=None, step=None):
 
 
 def _attacker(kind, p_d, p_a):
-    try:
-        if kind == "digital":
-            return AttackerSpec("digital", p_d=p_d)
-        if p_a is None:
-            _fail("--pa is required for the analog attacker")
-        return AttackerSpec("analog", p_d=p_d, p_a=p_a)
-    except DomainError as e:
-        _fail(str(e))
+    if kind == "digital":
+        return AttackerSpec("digital", p_d=p_d)
+    if p_a is None:
+        _fail("--pa is required for the analog attacker")
+    return AttackerSpec("analog", p_d=p_d, p_a=p_a)
 
 
 def _render_record(ctx, record: dict) -> str:
@@ -92,7 +88,22 @@ def _render_record(ctx, record: dict) -> str:
     return "\n".join(lines)
 
 
-@click.group()
+class _Command(click.Command):
+    """Reports a DomainError as a usage error: exit 2 with the message
+    under the command's usage line, never a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DomainError as e:
+            raise click.UsageError(str(e), ctx) from None
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.option("--sigma-p", default=2241.0, show_default=True,
               help="PUF response standard deviation.")
 @click.option("--sigma-n", default=129.0, show_default=True,
@@ -109,10 +120,7 @@ def _render_record(ctx, record: dict) -> str:
 def main(ctx, sigma_p, sigma_n, nodes, fmt, out, seed):
     """Secret-key rates, finite-length cell counts, and security audits
     for quantized Gaussian PUF cells with zero-leakage helper data."""
-    try:
-        model = PufModel(sigma_p, sigma_n)
-    except DomainError as e:
-        _fail(str(e))
+    model = PufModel(sigma_p, sigma_n)
     if nodes < 16:
         _fail("--nodes must be >= 16")
     ctx.obj = {"model": model, "nodes": nodes, "fmt": fmt, "out": out,
@@ -136,19 +144,15 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     """Asymptotic secret-key rate in bits per PUF cell."""
     att = _attacker(attacker, p_d, p_a)
     q = _quantizer(ctx, levels, strategy, att, step)
-    nodes = ctx.obj["nodes"]
-    try:
-        s = bounds.summarize_channel(q, _model(ctx), nodes=nodes)
-        record = {"attacker": attacker, "levels": levels,
-                  "strategy": strategy, "p_d": p_d}
-        if attacker == "digital":
-            record["rate"] = bounds.asymptotic_rate_digital(s, p_d=p_d)
-        else:
-            lo, hi = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
-            record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
-        record["quadrature_delta"] = s.metadata.get("refinement_delta")
-    except DomainError as e:
-        _fail(str(e))
+    s = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
+    record = {"attacker": attacker, "levels": levels,
+              "strategy": strategy, "p_d": p_d}
+    if attacker == "digital":
+        record["rate"] = bounds.asymptotic_rate_digital(s, p_d=p_d)
+    else:
+        lo, hi = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
+        record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
+    record["quadrature_delta"] = s.metadata.get("refinement_delta")
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -174,15 +178,11 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
         _fail("--security must be >= 1 bit")
     att = _attacker(attacker, p_d, p_a)
     q = _quantizer(ctx, levels, strategy, att, step)
-    try:
-        query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
-                                  security_bits=security, n=None)
-        summary = bounds.summarize_channel(q, _model(ctx),
-                                           nodes=ctx.obj["nodes"])
-        ach = bounds.min_cells(query, "achievability", cap, summary=summary)
-        conv = bounds.min_cells(query, "converse", cap, summary=summary)
-    except DomainError as e:
-        _fail(str(e))
+    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
+                              security_bits=security, n=None)
+    summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
+    ach = bounds.min_cells(query, "achievability", cap, summary=summary)
+    conv = bounds.min_cells(query, "converse", cap, summary=summary)
     record = {"attacker": attacker, "levels": levels, "strategy": strategy,
               "p_d": p_d, "epsilon": eps, "security_bits": security,
               "cells_ach": ach, "cells_conv": conv}
@@ -218,13 +218,9 @@ def _parse_overrides(pairs):
 @click.pass_context
 def table(ctx, table_id, compare, override):
     """Reproduce one of the eight published tables."""
-    try:
-        spec = tables.TableSpec(table_id, _parse_overrides(override))
-        data = tables.generate_table(spec, _model(ctx),
-                                     nodes=ctx.obj["nodes"],
-                                     seed=ctx.obj["seed"], compare=compare)
-    except DomainError as e:
-        _fail(str(e))
+    spec = tables.TableSpec(table_id, _parse_overrides(override))
+    data = tables.generate_table(spec, _model(ctx), nodes=ctx.obj["nodes"],
+                                 seed=ctx.obj["seed"], compare=compare)
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
@@ -259,12 +255,9 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
         _fail("--security must be >= 1 bit")
     att = _attacker(attacker, p_d, p_a)
     q = _quantizer(ctx, levels, strategy, att)
-    try:
-        query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
-                                  security_bits=security, n=n)
-        conv = bounds.min_cells(query, "converse", cap=max(10 * n, 10 ** 6))
-    except DomainError as e:
-        _fail(str(e))
+    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
+                              security_bits=security, n=n)
+    conv = bounds.min_cells(query, "converse", cap=max(10 * n, 10 ** 6))
     feasible = conv is not None and n >= conv
     record = {"cells": n, "levels": levels, "strategy": strategy,
               "attacker": attacker, "p_d": p_d, "epsilon": eps,
@@ -300,17 +293,12 @@ def simulate(ctx, levels, strategy, step, samples, seed, attacker, p_d, p_a,
     att = _attacker(attacker, p_d, p_a) if attacker else None
     q = _quantizer(ctx, levels, strategy, att, step)
     use_seed = ctx.obj["seed"] if seed is None else seed
-    try:
-        cfg = sim.SimConfig(_model(ctx), q, samples=samples, seed=use_seed,
-                            attacker=att)
-        report = sim.run_simulation(cfg)
-        payload = json.loads(report.to_json())
-        helper = negative or "zero-leakage"
-        payload["leakage_test"] = {
-            "helper": helper,
-            "per_level": sim.leakage_test(cfg, helper=helper)}
-    except DomainError as e:
-        _fail(str(e))
+    cfg = sim.SimConfig(_model(ctx), q, samples=samples, seed=use_seed,
+                        attacker=att)
+    payload = json.loads(sim.run_simulation(cfg).to_json())
+    helper = negative or "zero-leakage"
+    payload["leakage_test"] = {
+        "helper": helper, "per_level": sim.leakage_test(cfg, helper=helper)}
     if dump_csv:
         _dump_samples(cfg, dump_csv)
     _emit(ctx, json.dumps(payload, sort_keys=True,
@@ -337,12 +325,9 @@ def _dump_samples(cfg, path, cap=1_000_000):
 def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
     """Search for the rate-maximizing input quantizer."""
     att = _attacker(attacker, p_d, p_a)
-    try:
-        res = opt_mod.optimize_quantizer(
-            model=_model(ctx), levels=levels, objective=att, budget=budget,
-            nodes=min(ctx.obj["nodes"], 64), seed=ctx.obj["seed"])
-    except DomainError as e:
-        _fail(str(e))
+    res = opt_mod.optimize_quantizer(
+        model=_model(ctx), levels=levels, objective=att, budget=budget,
+        nodes=min(ctx.obj["nodes"], 64), seed=ctx.obj["seed"])
     record = {"attacker": attacker, "levels": levels, "p_d": p_d,
               "rate": res.rate, "evaluations": res.evaluations,
               "budget_exhausted": res.budget_exhausted,

@@ -19,7 +19,7 @@ from scipy import optimize as sciopt
 from scipy import special
 
 from .stats import DomainError, PufModel
-from .quantizer import InputQuantizer, make_equidistant, make_equiprobable
+from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _conditional_mi makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
 from .channel import AttackerSpec, per_w_channels  # noqa: F401

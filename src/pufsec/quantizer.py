@@ -99,16 +99,7 @@ class InputQuantizer:
 
 def _interval_probs(borders, cdf, sf):
     # Difference on whichever side keeps both endpoints small.
-    n = len(borders) - 1
-    probs = np.empty(n)
-    for t in range(n):
-        if borders[t + 1] <= 0:
-            probs[t] = cdf[t + 1] - cdf[t]
-        elif borders[t] >= 0:
-            probs[t] = sf[t] - sf[t + 1]
-        else:
-            probs[t] = cdf[t + 1] - cdf[t]
-    return probs
+    return np.where(borders[:-1] >= 0, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
 
 
 def make_equiprobable(model: PufModel, levels: int) -> InputQuantizer:
@@ -213,46 +204,50 @@ class OutputQuantizer:
         return self.borders[1:-1]
 
 
-def _map_border(x_lo, x_hi, p_lo, p_hi, sigma_n):
-    # Crossing point of p_lo * phi(y - x_lo) and p_hi * phi(y - x_hi).
-    return (math.log(p_lo / p_hi) * sigma_n ** 2 / (x_hi - x_lo)
-            + (x_lo + x_hi) / 2.0)
+def _decision_borders(q: InputQuantizer, x: np.ndarray,
+                      sigma_n: float) -> np.ndarray:
+    """MAP decision borders for sibling points x of shape (K, N).
+
+    Returns b of shape (K, N+1): Y in [b_t, b_{t+1}) decides S~ = t, and a
+    dominated level (one that never wins the MAP comparison) gets
+    b_t == b_{t+1}.  Where the adjacent equal-posterior crossings increase
+    they are the borders.  On the other rows the lower border of level t
+    is L_t = max over j < t of crossing(j, t), and since MAP regions are
+    ordered in t, b_t is the suffix minimum of L.
+    """
+    def crossings(x, d):
+        # crossing(t - d, t) of p_{t-d} phi(y - x_{t-d}) and p_t phi(y - x_t)
+        lo, hi = x[:, :-d], x[:, d:]
+        return (np.log(q.probs[:-d] / q.probs[d:]) * sigma_n ** 2 / (hi - lo)
+                + (lo + hi) / 2.0)
+
+    taus = crossings(x, 1)
+    b = np.concatenate((np.full((len(x), 1), -np.inf), taus,
+                        np.full((len(x), 1), np.inf)), axis=1)
+    merged = ~np.all(np.diff(taus, axis=1) > 0, axis=1)
+    if merged.any():
+        xm = x[merged]
+        lower = np.full(xm.shape, -np.inf)
+        for d in range(1, xm.shape[1]):
+            lower[:, d:] = np.maximum(lower[:, d:], crossings(xm, d))
+        b[merged, :-1] = np.minimum.accumulate(lower[:, ::-1], axis=1)[:, ::-1]
+    return b
 
 
 def output_quantizer(q: InputQuantizer, w: float,
                      model: PufModel | None = None) -> OutputQuantizer:
     """MAP decision intervals for reconstructing S from Y given W = w.
 
-    Candidate borders between adjacent sibling points are the equal-
-    posterior crossings; a level whose candidate border does not exceed
-    the previous one is dominated and removed, with the border recomputed
-    between the surviving neighbours until borders are increasing.
+    The labels are the levels with a non-empty decision interval.  At
+    w = 0 the left tail's sibling point is -inf, so level 0 never wins.
     """
     model = model or q.model
     if not 0.0 <= w < 1.0:
         raise DomainError(f"helper value must lie in [0,1), got {w!r}")
-    x = sibling_points(q, w)
-    p = q.probs
-    # at w exactly 0 the left tail's sibling point degenerates to -inf and
-    # that level can never win the MAP comparison for finite y; drop it
-    finite = [t for t in range(q.levels) if math.isfinite(x[t])]
-    if not finite:
-        raise DomainError("no level has a finite sibling point")
-    labels = [finite[0]]
-    borders: list[float] = []
-    for t in finite[1:]:
-        while True:
-            tau = _map_border(x[labels[-1]], x[t], p[labels[-1]], p[t],
-                              model.sigma_n)
-            if borders and tau <= borders[-1]:
-                labels.pop()
-                borders.pop()
-                continue
-            break
-        labels.append(t)
-        borders.append(tau)
-    full = np.concatenate(([-np.inf], borders, [np.inf]))
-    return OutputQuantizer(full, tuple(labels), float(w))
+    b = _decision_borders(q, sibling_points(q, [w]), model.sigma_n)[0]
+    labels = np.nonzero(np.diff(b) > 0)[0]
+    full = np.concatenate(([-np.inf], b[labels[1:]], [np.inf]))
+    return OutputQuantizer(full, tuple(int(t) for t in labels), float(w))
 
 
 def reconstruct(oq: OutputQuantizer, y: float) -> int:

@@ -37,6 +37,8 @@ class SimConfig:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.w_bins < 2:
             raise DomainError(f"w_bins must be >= 2, got {self.w_bins}")
+        if self.quantizer.model != self.model:
+            raise DomainError("the quantizer was built for another PufModel")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,12 +4,15 @@ dispersion in pufsec.bounds.
 Each oracle loops over the alphabet and evaluates the defining variance of
 an information density directly, so it shares no arithmetic with the
 closed forms built from a ChannelSummary's second moments.  The pmf
-builders construct the attacker-extended sources explicitly.
+builders construct the attacker-extended sources explicitly.  The merge
+oracle is the scalar pop-stack construction of the MAP output quantizer,
+the second route for the vectorized decision borders in pufsec.quantizer.
 """
 
 import math
 
 import numpy as np
+from scipy import special
 
 
 def random_markov(rng, nx, ny, nz):
@@ -104,3 +107,46 @@ def analog_triple(joint, p_d, p_a):
             pmf[i, j, j * (n + 1) + n] += (p_a - p_d) * joint[i, j]
             pmf[i, j, j * (n + 1) + i] += (1 - p_a) * joint[i, j]
     return pmf
+
+
+def _map_border(x_lo, x_hi, p_lo, p_hi, sigma_n):
+    # Crossing point of p_lo * phi(y - x_lo) and p_hi * phi(y - x_hi).
+    # numpy's log, as in the kernel: math.log differs from it by one ulp on
+    # about 0.5% of ratios near 1, which moves a border by one ulp.
+    return (np.log(p_lo / p_hi) * sigma_n ** 2 / (x_hi - x_lo)
+            + (x_lo + x_hi) / 2.0)
+
+
+def oracle_output_quantizer(x, p, sigma_n):
+    """MAP labels and borders for sibling points x and level masses p.
+
+    Walks the levels left to right; a level whose crossing with the next
+    one does not exceed its own lower border is dominated and popped, and
+    the border is recomputed between the surviving neighbours.  A level
+    whose sibling point is -inf (the left tail at w = 0) never wins.
+    """
+    finite = [t for t in range(len(x)) if math.isfinite(x[t])]
+    labels = [finite[0]]
+    borders = []
+    for t in finite[1:]:
+        while True:
+            tau = _map_border(x[labels[-1]], x[t], p[labels[-1]], p[t],
+                              sigma_n)
+            if borders and tau <= borders[-1]:
+                labels.pop()
+                borders.pop()
+                continue
+            break
+        labels.append(t)
+        borders.append(tau)
+    return tuple(labels), np.concatenate(([-np.inf], borders, [np.inf]))
+
+
+def oracle_channel(x, p, sigma_n):
+    """P(S~ | S) for one helper value on the full alphabet (zero columns
+    for merged levels), from the scalar merge."""
+    labels, borders = oracle_output_quantizer(x, p, sigma_n)
+    z = (borders[None, :] - x[:, None]) / sigma_n
+    out = np.zeros((len(x), len(x)))
+    out[:, list(labels)] = np.diff(special.ndtr(z), axis=1)
+    return out

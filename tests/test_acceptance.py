@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from pufsec.stats import PufModel, q_inverse, q_function
+from pufsec.stats import PufModel, q_inverse
 from pufsec.quantizer import (make_equidistant, make_equiprobable,
                               output_quantizer, reconstruct, sibling_points)
 from pufsec.channel import AttackerSpec, averaged_channel, per_w_channels
 from pufsec import bounds
 from pufsec.optimize import optimize_quantizer
 from pufsec.sim import SimConfig, leakage_test, run_simulation
-from pufsec.tables import (PUBLISHED, TableSpec, equidistant_reference,
-                           generate_table)
+from pufsec.tables import PUBLISHED, TableSpec, generate_table
 from pufsec.stats import unit_interval_rule
 from oracles import erasure_joint, oracle_v1, oracle_vc, oracle_vc_prime, \
     random_markov

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pufsec.stats import DomainError, PufModel, unit_interval_rule
-from pufsec.quantizer import make_equidistant, make_equiprobable
+from pufsec.quantizer import (InputQuantizer, make_equidistant,
+                              make_equiprobable, output_quantizer,
+                              sibling_points)
 from pufsec.channel import (ERASURE, AttackerSpec, ChannelMatrix,
                             analog_extension, averaged_channel,
                             channel_given_w, digital_extension,
                             per_w_channels)
 from pufsec.info import entropy, mutual_information
+from oracles import oracle_channel, oracle_output_quantizer
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -28,15 +32,36 @@ class TestChannelMatrix:
             avg = averaged_channel(q, nodes=64)
             assert np.max(np.abs(avg.p.sum(axis=1) - 1.0)) < 1e-9
 
-    def test_per_w_matches_scalar_construction(self):
-        q = make_equidistant(MODEL, 8, 20000.0 / 8)
-        ws = np.array([0.05, 0.4, 0.93])
+    @given(st.integers(2, 32).flatmap(lambda n: st.tuples(
+               st.floats(-3.0, 0.0),
+               st.lists(st.floats(0.01, 0.5), min_size=n - 1,
+                        max_size=n - 1))),
+           st.floats(60.0, 400.0),
+           st.lists(st.one_of(st.just(0.0),
+                              st.floats(0.0, 1.0, exclude_max=True)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_per_w_matches_scalar_construction(self, knots, sigma_n, ws):
+        # the scalar pop-stack merge in tests/oracles.py is the second
+        # route for the vectorized decision borders
+        start, gaps = knots
+        model = PufModel(2241.0, sigma_n)
+        inner = model.sigma_p * (start + np.cumsum(gaps) - gaps[0])
+        q = InputQuantizer.from_borders(model, inner)
         mats = per_w_channels(q, ws)
-        for i, w in enumerate(ws):
-            cm = channel_given_w(q, float(w))
-            full = np.zeros((8, 8))
-            full[:, list(cm.output_labels)] = cm.p
-            assert np.allclose(mats[i], full, atol=1e-14)
+        # at w = 0 level 0 has no sibling point (-inf): its row is NaN on
+        # both routes, and every other row is a distribution
+        defined = np.isfinite(sibling_points(q, ws))
+        assert np.all(np.abs(mats.sum(axis=2) - 1.0)[defined] < 1e-12)
+        for w, mat in zip(ws, mats):
+            x = sibling_points(q, w)
+            labels, borders = oracle_output_quantizer(x, q.probs, sigma_n)
+            oq = output_quantizer(q, w)
+            assert oq.labels == labels
+            assert np.array_equal(oq.borders, borders)
+            rows = np.isfinite(x)
+            gap = mat - oracle_channel(x, q.probs, sigma_n)
+            assert np.max(np.abs(gap[rows])) <= 1e-15
 
     def test_to_csv(self):
         cm = channel_given_w(make_equiprobable(MODEL, 2), 0.5)

@@ -71,6 +71,33 @@ def test_bad_pd_pa_is_usage_error(runner, command, kind, p_d, p_a):
     assert "Error:" in res.output
 
 
+EQUIDISTANT = ["--strategy", "equidistant"]
+DOMAIN_ERRORS = {
+    "rate-step": ["rate", "--attacker", "digital", "--pd", "0.18",
+                  *EQUIDISTANT, "--step", "-1"],
+    "cells-step": ["cells", "--attacker", "digital", "--pd", "0.18",
+                   "--security", "128", *EQUIDISTANT, "--step", "-1"],
+    "simulate-step": ["simulate", "--samples", "1000", *EQUIDISTANT,
+                      "--step", "-1"],
+    "cells-huge-step": ["cells", "--attacker", "digital", "--pd", "0.18",
+                        "--security", "128", *EQUIDISTANT, "--step", "1e9",
+                        "--levels", "8"],
+    # audit's exit 1 means INFEASIBLE, so a crash must not end there
+    "audit-empty-tail": ["--sigma-p", "1", "audit", "--cells", "1000",
+                         *EQUIDISTANT, "--levels", "64"],
+    "bad-sigma-p": ["--sigma-p", "-1", "rate", "--attacker", "digital",
+                    "--pd", "0.18"],
+}
+
+
+@pytest.mark.parametrize("args", DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS)
+def test_domain_error_is_usage_error(runner, args):
+    res = run(runner, *args)            # a traceback would raise here
+    assert res.exit_code == 2
+    assert "Error:" in res.output
+    assert "Traceback" not in res.output
+
+
 class TestCells:
     def test_published_cell_counts(self, runner):
         res = run(runner, "--format", "json", "cells", "--attacker",

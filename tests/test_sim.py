@@ -86,6 +86,12 @@ class TestPipeline:
             SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
                       seed=1, w_bins=1)
 
+    def test_quantizer_for_another_model_rejected(self):
+        # X would be drawn with one sigma_p and quantized with another
+        with pytest.raises(DomainError):
+            SimConfig(PufModel(1000.0, 129.0), make_equiprobable(MODEL, 4),
+                      samples=20_000, seed=1)
+
 
 class TestLeakage:
     def test_zero_leakage_passes(self):
