@@ -46,15 +46,22 @@ def _mi_per_node(mats, probs):
     """I(S;S~|W=w) at each quadrature node from stacked channel matrices.
 
     Works with the ratio P(s~|s) / P(s~) rather than joint / (P_S * P_S~):
-    the latter underflows for quantizers with near-empty intervals.
+    the latter underflows for quantizers with near-empty intervals.  The
+    ratio and its log are taken on the support only; `contrib` keeps the
+    full zero-filled shape so each node's sum adds in a fixed order.
     """
-    joint = probs[None, :, None] * mats
-    out_marg = joint.sum(axis=1, keepdims=True)
-    nz = joint > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(nz, mats, 1.0) / np.where(nz, out_marg, 1.0)
-        contrib = np.where(nz, joint * np.log2(np.where(nz, ratio, 1.0)), 0.0)
-    return contrib.sum(axis=(1, 2))
+    k, n, m = mats.shape
+    out = np.empty(k)
+    for blk in channel_mod._node_blocks(k, n * m):
+        joint = probs[None, :, None] * mats[blk]
+        out_marg = joint.sum(axis=1, keepdims=True)
+        nz = joint > 0
+        contrib = np.zeros_like(joint)
+        np.divide(mats[blk], out_marg, out=contrib, where=nz)
+        np.log2(contrib, out=contrib, where=nz)
+        np.multiply(joint, contrib, out=contrib, where=nz)
+        out[blk] = contrib.sum(axis=(1, 2))
+    return out
 
 
 def _conditional_mi(q: InputQuantizer, model: PufModel, nodes: int) -> float:

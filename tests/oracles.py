@@ -7,12 +7,16 @@ closed forms built from a ChannelSummary's second moments.  The pmf
 builders construct the attacker-extended sources explicitly.  The merge
 oracle is the scalar pop-stack construction of the MAP output quantizer,
 the second route for the vectorized decision borders in pufsec.quantizer.
+The dense kernels are the band-free, unblocked forms of the channel stack
+and of I(S;S~|W=w), which the package's kernels must match to the bit.
 """
 
 import math
 
 import numpy as np
 from scipy import special
+
+from pufsec.quantizer import _decision_borders, sibling_points
 
 
 def random_markov(rng, nx, ny, nz):
@@ -150,3 +154,23 @@ def oracle_channel(x, p, sigma_n):
     out = np.zeros((len(x), len(x)))
     out[:, list(labels)] = np.diff(special.ndtr(z), axis=1)
     return out
+
+
+def dense_per_w_channels(q, ws):
+    """P(S~|S, W=w) stack with Phi taken on every entry of the dense
+    (K, N, N+1) grid of border offsets."""
+    x = sibling_points(q, np.asarray(ws, dtype=float))
+    b = _decision_borders(q, x, q.model.sigma_n)
+    z = (b[:, None, :] - x[:, :, None]) / q.model.sigma_n
+    return np.diff(special.ndtr(z), axis=2)
+
+
+def dense_mi_per_node(mats, probs):
+    """I(S;S~|W=w) per node over the whole (K, N, N) stack at once."""
+    joint = probs[None, :, None] * mats
+    out_marg = joint.sum(axis=1, keepdims=True)
+    nz = joint > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(nz, mats, 1.0) / np.where(nz, out_marg, 1.0)
+        contrib = np.where(nz, joint * np.log2(np.where(nz, ratio, 1.0)), 0.0)
+    return contrib.sum(axis=(1, 2))

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from pufsec.stats import DomainError, PufModel, unit_interval_rule
 from pufsec.quantizer import (InputQuantizer, make_equidistant,
                               make_equiprobable, output_quantizer,
                               sibling_points)
-from pufsec.channel import (ERASURE, AttackerSpec, ChannelMatrix,
-                            analog_extension, averaged_channel,
-                            channel_given_w, digital_extension,
-                            per_w_channels)
-from pufsec.info import entropy, mutual_information
-from oracles import oracle_channel, oracle_output_quantizer
+from pufsec.channel import (_PHI_ONE, _PHI_ZERO, ERASURE, AttackerSpec,
+                            ChannelMatrix, analog_extension,
+                            averaged_channel, channel_given_w,
+                            digital_extension, per_w_channels)
+from pufsec.info import _mi_per_node, entropy, mutual_information
+from pufsec.tables import equidistant_reference
+from oracles import (dense_mi_per_node, dense_per_w_channels, oracle_channel,
+                     oracle_output_quantizer)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -62,6 +65,15 @@ class TestChannelMatrix:
             rows = np.isfinite(x)
             gap = mat - oracle_channel(x, q.probs, sigma_n)
             assert np.max(np.abs(gap[rows])) <= 1e-15
+        assert np.array_equal(mats, dense_per_w_channels(q, ws),
+                              equal_nan=True)
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(DomainError):
+            ChannelMatrix(np.array([[np.nan, 1.0]]), (0,), (0, 1))
+        # at w = 0 level 0 has no sibling point, so its row is NaN
+        with pytest.raises(DomainError):
+            channel_given_w(make_equiprobable(PufModel(), 4), 0.0)
 
     def test_to_csv(self):
         cm = channel_given_w(make_equiprobable(MODEL, 2), 0.5)
@@ -72,6 +84,54 @@ class TestChannelMatrix:
         q = make_equiprobable(PufModel(2241.0, 0.0), 4)
         with pytest.raises(DomainError):
             channel_given_w(q, 0.5)
+
+
+class TestBandKernel:
+    """The band-limited, node-blocked kernels must equal the dense forms in
+    tests/oracles.py to the bit, NaN row at w = 0 included."""
+
+    @staticmethod
+    def assert_matches_dense(q, ws):
+        mats = per_w_channels(q, ws)
+        assert mats.shape == (len(ws), q.levels, q.levels)
+        assert np.array_equal(mats, dense_per_w_channels(q, ws),
+                              equal_nan=True)
+        assert np.array_equal(_mi_per_node(mats, q.probs),
+                              dense_mi_per_node(mats, q.probs),
+                              equal_nan=True)
+
+    def test_ndtr_saturates_outside_the_band(self):
+        # per_w_channels writes 0.0 and 1.0 itself outside the band; if a
+        # scipy release moves either edge of ndtr's saturation, this fails
+        low = np.concatenate(([-np.inf, -1e300], -np.geomspace(1e6, 60.0),
+                              np.linspace(-60.0, _PHI_ZERO, 1_000_001)))
+        high = np.concatenate((np.linspace(_PHI_ONE, 60.0, 1_000_001),
+                               np.geomspace(60.0, 1e6), [1e300, np.inf]))
+        assert np.all(special.ndtr(low) == 0.0)
+        assert np.all(special.ndtr(high) == 1.0)
+
+    @pytest.mark.parametrize("levels", (2, 3, 4, 8, 16, 32, 64, 128, 256))
+    @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
+    def test_table_quantizers_match_dense(self, strategy, levels):
+        if strategy == "equiprobable":
+            q = make_equiprobable(MODEL, levels)
+        else:
+            q = equidistant_reference(MODEL, levels)
+        # K = 100 is no multiple of the block's node count at N = 32..128; the
+        # dense oracle's memory grows as K N^2, so N = 256 stops at K = 128
+        for k in (16, 64, 100, 128, 256):
+            if k * levels ** 2 <= 128 * 256 ** 2:
+                self.assert_matches_dense(q, np.arange(k) / k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_knots_match_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        model = PufModel(2241.0, rng.uniform(60.0, 400.0))
+        inner = np.unique(rng.uniform(-5.0, 5.0, rng.integers(1, 200)))
+        q = InputQuantizer.from_borders(model, model.sigma_p * inner)
+        ws = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(16, 200))))
+        ws[0] = 0.0
+        self.assert_matches_dense(q, ws)
 
 
 class TestAveraging:
