@@ -123,15 +123,19 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     b = _decision_borders(q, x, model.sigma_n)              # (K, N+1)
     k, n = x.shape
     out = np.empty((k, n, n))
-    for blk in _node_blocks(k, n * (n + 1)):
-        z = (b[blk, None, :] - x[blk, :, None]) / model.sigma_n
-        one = z >= _PHI_ONE
-        band = ~(one | (z <= _PHI_ZERO))     # NaN stays in the band
-        f = one.astype(float)
-        # boolean indexing, not ndtr(z, out=f, where=band): on scipy 1.17.1
-        # that call crashed the interpreter (segfault) at these shapes
-        f[band] = special.ndtr(z[band])
-        np.subtract(f[:, :, 1:], f[:, :, :-1], out=out[blk])
+    # at w = 0 the -inf sibling point meets the -inf border: the NaN that
+    # inf - inf gives is the documented NaN row, not a fault
+    with np.errstate(invalid="ignore"):
+        for blk in _node_blocks(k, n * (n + 1)):
+            z = (b[blk, None, :] - x[blk, :, None]) / model.sigma_n
+            one = z >= _PHI_ONE
+            band = ~(one | (z <= _PHI_ZERO))     # NaN stays in the band
+            f = one.astype(float)
+            # boolean indexing, not ndtr(z, out=f, where=band): on scipy
+            # 1.17.1 that call crashed the interpreter (segfault) at these
+            # shapes
+            f[band] = special.ndtr(z[band])
+            np.subtract(f[:, :, 1:], f[:, :, :-1], out=out[blk])
     return out
 
 

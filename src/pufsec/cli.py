@@ -59,7 +59,7 @@ def _quantizer(ctx, levels, strategy, attacker=None, step=None):
     if attacker is None:
         _fail("--strategy optimized needs an attacker objective")
     return tables.optimized_quantizer(model, levels, attacker,
-                                      ctx.obj["nodes"], ctx.obj["seed"])
+                                      ctx.obj["nodes"])
 
 
 def _attacker(kind, p_d, p_a):
@@ -115,7 +115,7 @@ class _Group(_Command, click.Group):
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also write the output to this file.")
 @click.option("--seed", default=0, show_default=True,
-              help="Seed for randomized subcommands.")
+              help="Seed for the simulate subcommand.")
 @click.pass_context
 def main(ctx, sigma_p, sigma_n, nodes, fmt, out, seed):
     """Secret-key rates, finite-length cell counts, and security audits
@@ -220,7 +220,7 @@ def table(ctx, table_id, compare, override):
     """Reproduce one of the eight published tables."""
     spec = tables.TableSpec(table_id, _parse_overrides(override))
     data = tables.generate_table(spec, _model(ctx), nodes=ctx.obj["nodes"],
-                                 seed=ctx.obj["seed"], compare=compare)
+                                 compare=compare)
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         text = json.dumps(data, indent=2, sort_keys=True)
@@ -327,7 +327,7 @@ def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
     att = _attacker(attacker, p_d, p_a)
     res = opt_mod.optimize_quantizer(
         model=_model(ctx), levels=levels, objective=att, budget=budget,
-        nodes=min(ctx.obj["nodes"], 64), seed=ctx.obj["seed"])
+        nodes=min(ctx.obj["nodes"], 64))
     record = {"attacker": attacker, "levels": levels, "p_d": p_d,
               "rate": res.rate, "evaluations": res.evaluations,
               "budget_exhausted": res.budget_exhausted,

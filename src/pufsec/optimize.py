@@ -4,9 +4,12 @@
 The search space is the vector of cumulative-probability knots
 u_1 < ... < u_{N-1} in (0,1); borders are sigma_P * Phi^{-1}(u_t).  This
 keeps borders ordered under perturbation and makes the equiprobable
-quantizer the centroid of the space.  The objective is nonsmooth at
-helper values where output-quantizer merging switches on or off, so a
-derivative-free simplex search with a sort/clip repair step is used.
+quantizer the centroid of the space.  The source and the noise are
+symmetric, so the search is restricted to mirror-symmetric knot vectors
+and runs over their lower half only.  The objective is nonsmooth at
+helper values where output-quantizer merging switches on or off, so one
+deterministic derivative-free simplex search with a sort/clip repair step
+is used.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .info import _conditional_mi, entropy
 from .bounds import _asymptotic_rate
 
 KNOT_MARGIN = 1e-6
+_STEP_SUBINTERVALS = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,13 +72,12 @@ def quantizer_from_knots(model: PufModel, u) -> InputQuantizer:
 
 
 def best_equidistant_step(model: PufModel, levels: int,
-                          objective: AttackerSpec, *, nodes: int = 64,
-                          restarts: int = 3):
+                          objective: AttackerSpec, *, nodes: int = 64):
     """(step, rate) maximizing the asymptotic rate over the step size.
 
     Bounded scalar search on log-step over [sigma_P/50, 10*sigma_P],
-    restarted on `restarts` subintervals because the objective need not
-    be unimodal; steps whose tail intervals underflow score -inf.
+    restarted on _STEP_SUBINTERVALS subintervals because the objective need
+    not be unimodal; steps whose tail intervals underflow score -inf.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -93,7 +96,7 @@ def best_equidistant_step(model: PufModel, levels: int,
         step = model.sigma_p
         return step, _rate(make_equidistant(model, 2, step), objective, nodes)
     best = (None, math.inf)
-    edges = np.linspace(lo, hi, restarts + 1)
+    edges = np.linspace(lo, hi, _STEP_SUBINTERVALS + 1)
     for a, b in zip(edges[:-1], edges[1:]):
         res = sciopt.minimize_scalar(score, bounds=(a, b), method="bounded",
                                      options={"xatol": 1e-4})
@@ -104,16 +107,25 @@ def best_equidistant_step(model: PufModel, levels: int,
     return math.exp(best[0]), -best[1]
 
 
+def _symmetric_knots(h: np.ndarray, levels: int) -> np.ndarray:
+    """Full knot vector of a mirror-symmetric quantizer from its lower half
+    h (the first (levels-1)//2 knots): h, then 1/2 when levels is even,
+    then 1 - reversed(h)."""
+    mid = [0.5] if levels % 2 == 0 else []
+    return np.concatenate((h, mid, 1.0 - h[::-1]))
+
+
 def optimize_quantizer(model: PufModel, levels: int,
                        objective: AttackerSpec, budget: int = 2000, *,
-                       nodes: int = 64, seed: int = 0,
-                       random_starts: int = 8):
-    """Best input quantizer found within the evaluation budget.
+                       nodes: int = 64):
+    """Best mirror-symmetric input quantizer found within the budget.
 
-    Multi-start Nelder-Mead on the knot vector: starts are the
-    equiprobable quantizer, the best equidistant quantizer, and
-    `random_starts` Dirichlet-random knot vectors.  Returns an
-    OptimizeResult; its rate is never below the best start's rate.
+    The source and the noise are symmetric about zero, so only the lower
+    half of the knot vector is searched.  The two structured starts, the
+    equiprobable and the best equidistant quantizer, are always scored;
+    one Nelder-Mead from the better of them spends the rest of the budget.
+    The search is deterministic, its rate is never below the better
+    start's, and it makes at most max(budget, 2) objective evaluations.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -121,56 +133,32 @@ def optimize_quantizer(model: PufModel, levels: int,
         raise DomainError(f"budget must be positive, got {budget}")
     evals = 0
 
-    def neg_rate(u):
+    def neg_rate(h):
         nonlocal evals
         evals += 1
         try:
-            q = quantizer_from_knots(model, u)
+            q = quantizer_from_knots(model, _symmetric_knots(h, levels))
         except DomainError:
             return 1e9
         return -_rate(q, objective, nodes)
 
-    equiprob = np.arange(1, levels) / levels
-    starts = [equiprob]
+    half = (levels - 1) // 2
+    starts = [np.arange(1, half + 1) / levels]
     try:
         step, _ = best_equidistant_step(model, levels, objective, nodes=nodes)
-        eq = make_equidistant(model, levels, step)
-        starts.append(np.clip(eq.cdf[1:-1], KNOT_MARGIN, 1 - KNOT_MARGIN))
+        starts.append(make_equidistant(model, levels, step).cdf[1:half + 1])
     except DomainError:
         pass
-    rng = np.random.default_rng(seed)
-    for _ in range(random_starts):
-        probs = rng.dirichlet(np.ones(levels))
-        starts.append(np.cumsum(probs)[:-1])
-
-    # Rank the starts by objective, then spend the budget on the best few
-    # (high-dimensional simplex searches need depth more than breadth).
-    # One simplex construction already costs levels+1 evaluations, so for
-    # large alphabets only the single best start gets a deep dive.
-    starts = [repair_knots(u) for u in starts]
-    scored = sorted(((neg_rate(u), i) for i, u in enumerate(starts)))
-    best_f, best_i = scored[0]
-    best_u = starts[best_i]
-    n_deep = min(3, len(starts)) if levels <= 32 else 1
-    for rank, (_, i) in enumerate(scored[:n_deep]):
-        if evals >= budget:
-            break
-        share = max((budget - evals) // (n_deep - rank), levels + 2)
+    best_f, best_h = min(((neg_rate(h), h) for h in starts),
+                         key=lambda fh: fh[0])
+    if half and evals < budget:
         res = sciopt.minimize(
-            neg_rate, starts[i], method="Nelder-Mead",
-            options={"maxfev": share,
-                     "xatol": 1e-6, "fatol": 1e-9, "adaptive": True})
-        if res.fun < best_f:
-            best_u, best_f = repair_knots(res.x), res.fun
-    # polish from the overall best with whatever budget remains
-    if evals < budget and levels <= 32:
-        res = sciopt.minimize(
-            neg_rate, best_u, method="Nelder-Mead",
+            neg_rate, best_h, method="Nelder-Mead",
             options={"maxfev": budget - evals,
                      "xatol": 1e-6, "fatol": 1e-9, "adaptive": True})
         if res.fun < best_f:
-            best_u, best_f = repair_knots(res.x), res.fun
-    q = quantizer_from_knots(model, best_u)
+            best_h, best_f = res.x, res.fun
+    q = quantizer_from_knots(model, _symmetric_knots(best_h, levels))
     # final rate at the search resolution; callers can re-score with more nodes
     return OptimizeResult(
         quantizer=q, rate=max(-best_f, 0.0), evaluations=evals,

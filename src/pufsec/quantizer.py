@@ -245,7 +245,8 @@ def output_quantizer(q: InputQuantizer, w: float,
     if not 0.0 <= w < 1.0:
         raise DomainError(f"helper value must lie in [0,1), got {w!r}")
     b = _decision_borders(q, sibling_points(q, [w]), model.sigma_n)[0]
-    labels = np.nonzero(np.diff(b) > 0)[0]
+    with np.errstate(invalid="ignore"):     # -inf - -inf at w = 0 is NaN
+        labels = np.nonzero(np.diff(b) > 0)[0]
     full = np.concatenate(([-np.inf], b[labels[1:]], [np.inf]))
     return OutputQuantizer(full, tuple(int(t) for t in labels), float(w))
 

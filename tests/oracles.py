@@ -150,7 +150,8 @@ def oracle_channel(x, p, sigma_n):
     """P(S~ | S) for one helper value on the full alphabet (zero columns
     for merged levels), from the scalar merge."""
     labels, borders = oracle_output_quantizer(x, p, sigma_n)
-    z = (borders[None, :] - x[:, None]) / sigma_n
+    with np.errstate(invalid="ignore"):     # -inf - -inf at w = 0
+        z = (borders[None, :] - x[:, None]) / sigma_n
     out = np.zeros((len(x), len(x)))
     out[:, list(labels)] = np.diff(special.ndtr(z), axis=1)
     return out
@@ -161,7 +162,8 @@ def dense_per_w_channels(q, ws):
     (K, N, N+1) grid of border offsets."""
     x = sibling_points(q, np.asarray(ws, dtype=float))
     b = _decision_borders(q, x, q.model.sigma_n)
-    z = (b[:, None, :] - x[:, :, None]) / q.model.sigma_n
+    with np.errstate(invalid="ignore"):     # -inf - -inf at w = 0
+        z = (b[:, None, :] - x[:, :, None]) / q.model.sigma_n
     return np.diff(special.ndtr(z), axis=2)
 
 

@@ -150,8 +150,7 @@ def test_criterion_6_optimizer(kind):
     ok = True
     details = []
     for i, n in enumerate((2, 4, 8, 16, 32)):
-        res = optimize_quantizer(MODEL, n, att, budgets[n], nodes=64,
-                                 seed=0, random_starts=6)
+        res = optimize_quantizer(MODEL, n, att, budgets[n], nodes=64)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         eq = make_equiprobable(MODEL, n)
         if kind == "digital":

@@ -63,8 +63,7 @@ class TestEquidistantStep:
 class TestOptimizer:
     @pytest.mark.parametrize("n,paper", [(2, 0.18), (4, 0.36), (8, 0.537)])
     def test_digital_small_alphabets(self, n, paper):
-        res = optimize_quantizer(MODEL, n, DIGITAL, budget=400, nodes=64,
-                                 seed=0, random_starts=4)
+        res = optimize_quantizer(MODEL, n, DIGITAL, budget=400, nodes=64)
         equiprob = bounds.asymptotic_rate_digital(
             make_equiprobable(MODEL, n), MODEL, p_d=0.18, nodes=64)
         assert res.rate >= equiprob - 1e-4
@@ -74,33 +73,34 @@ class TestOptimizer:
     def test_analog_beats_equiprobable_collapse(self):
         # at 16 levels the equiprobable analog rate collapses to ~0.356;
         # the optimizer must recover a substantially better quantizer
-        res = optimize_quantizer(MODEL, 16, ANALOG, budget=800, nodes=64,
-                                 seed=0, random_starts=4)
+        res = optimize_quantizer(MODEL, 16, ANALOG, budget=800, nodes=64)
         assert res.rate > 0.55
 
     def test_rate_is_the_asymptotic_rate(self):
         # one rate formula: the objective is exactly the public asymptotic
         # rate (the lower bound for the analog attacker) at the search nodes
-        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64,
-                                 seed=0, random_starts=2)
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
         assert dig.rate == bounds.asymptotic_rate_digital(
             dig.quantizer, p_d=0.18, nodes=64)
-        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200, nodes=64,
-                                 seed=0, random_starts=2)
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200, nodes=64)
         assert ana.rate == bounds.asymptotic_rate_analog(
             ana.quantizer, p_d=0.18, p_a=0.36, nodes=64)[0]
 
     def test_budget_accounting(self):
-        res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64,
-                                 seed=0, random_starts=2)
+        res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64)
         assert res.evaluations >= 4          # at least the start ranking
         assert res.rate > 0.0
 
-    def test_seed_reproducible(self):
-        a = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64,
-                               seed=7, random_starts=3)
-        b = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64,
-                               seed=7, random_starts=3)
+    @pytest.mark.parametrize("levels,budget", [(16, 30), (32, 60), (8, 20)])
+    def test_budget_is_a_hard_cap(self, levels, budget):
+        res = optimize_quantizer(MODEL, levels, DIGITAL, budget=budget,
+                                 nodes=64)
+        assert res.evaluations <= max(budget, 2)
+        assert res.budget_exhausted == (res.evaluations >= budget)
+
+    def test_deterministic(self):
+        a = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
+        b = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
         assert a.rate == b.rate
         assert np.array_equal(a.quantizer.inner_borders,
                               b.quantizer.inner_borders)

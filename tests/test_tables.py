@@ -126,3 +126,19 @@ def test_non_optimized_rate_cells_match_published(levels):
                     ref = PUBLISHED[tid][levels][RATE_COLUMNS.index(col)]
                     tol = 5e-4
                 assert abs(rate - ref) <= tol, (key, rate, ref)
+
+
+@pytest.mark.parametrize("tid", (1, 2))
+def test_optimized_rate_cells_reach_published(tid):
+    # values above the published ones pass: those are a search result, not
+    # an upper bound
+    table = generate_table(TableSpec(tid, {"levels": [2, 4, 8, 16]}))
+    for row in table["rows"]:
+        for attacker in ("digital", "analog"):
+            col = RATE_COLUMNS.index(f"optimized {attacker}")
+            base = RATE_COLUMNS.index(f"equiprobable {attacker}")
+            rate = row["values"][col]
+            ref = PUBLISHED[tid][row["levels"]][col]
+            key = (tid, row["levels"], attacker)
+            assert rate >= ref - 1e-3, (key, rate, ref)
+            assert rate >= row["values"][base], key
