@@ -380,6 +380,8 @@ def min_cells(query: BoundQuery, direction: str,
     the query's attacker; n * max(rate(n), 0) is nondecreasing in n, which
     the exponential-bracket + binary-search below relies on.
     """
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
     if summary is None:
         summary = summarize_channel(query.quantizer, nodes=nodes)
     first, penalty = _rate_terms(query.attacker, direction, summary,

@@ -36,7 +36,7 @@ _PHI_ZERO = -38.0
 def _node_blocks(nodes: int, entries_per_node: int):
     """Consecutive slices of the node axis, _BLOCK_ENTRIES entries each."""
     step = max(1, _BLOCK_ENTRIES // entries_per_node)
-    return [slice(k, k + step) for k in range(0, nodes, step)]
+    return [slice(k, min(k + step, nodes)) for k in range(0, nodes, step)]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -107,6 +107,23 @@ def channel_given_w(q: InputQuantizer, w: float,
                          metadata={"helper_w": float(w)})
 
 
+def _mirror_half(q: InputQuantizer, ws: np.ndarray) -> int:
+    """Number of leading helper values whose channels give the whole stack.
+
+    The source and the noise are symmetric about zero.  So when the inner
+    borders are antisymmetric, the masses symmetric and ws + ws[::-1] == 1,
+    P(S~|S, W=ws[K-1-k]) is P(S~|S, W=ws[k]) with S and S~ both reversed,
+    and (K + 1) // 2 nodes suffice.  The test is exact, not a tolerance:
+    a quantizer that is only nearly symmetric gets all K nodes.
+    """
+    inner = q.inner_borders
+    if (np.array_equal(inner, -inner[::-1])
+            and np.array_equal(q.probs, q.probs[::-1])
+            and np.all(ws + ws[::-1] == 1.0)):
+        return (len(ws) + 1) // 2
+    return len(ws)
+
+
 def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     """Stack of per-helper-value channels on the full output alphabet
     0..N-1 (levels merged away at a given w get zero columns).
@@ -114,19 +131,24 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     Returns an array of shape (len(ws), N, N): the Gaussian mass of each
     sibling point between consecutive MAP decision borders.  Phi is
     evaluated only where it is not exactly 0 or 1; a level whose sibling
-    point is -inf (S = 0 at w = 0) gets a NaN row.
+    point is -inf (S = 0 at w = 0) gets a NaN row.  On a mirror-symmetric
+    quantizer and node set (`_mirror_half`) only the leading half of the
+    nodes is evaluated; the other half is its mirror image.
     """
     model = model or q.model
     if model.sigma_n <= 0:
         raise DomainError("channel matrices need sigma_n > 0")
-    x = sibling_points(q, np.asarray(ws, dtype=float))      # (K, N)
-    b = _decision_borders(q, x, model.sigma_n)              # (K, N+1)
-    k, n = x.shape
+    ws = np.asarray(ws, dtype=float)
+    k = len(ws)
+    half = _mirror_half(q, ws)
+    x = sibling_points(q, ws[:half])                        # (half, N)
+    b = _decision_borders(q, x, model.sigma_n)              # (half, N+1)
+    n = x.shape[1]
     out = np.empty((k, n, n))
     # at w = 0 the -inf sibling point meets the -inf border: the NaN that
     # inf - inf gives is the documented NaN row, not a fault
     with np.errstate(invalid="ignore"):
-        for blk in _node_blocks(k, n * (n + 1)):
+        for blk in _node_blocks(half, n * (n + 1)):
             z = (b[blk, None, :] - x[blk, :, None]) / model.sigma_n
             one = z >= _PHI_ONE
             band = ~(one | (z <= _PHI_ZERO))     # NaN stays in the band
@@ -136,6 +158,7 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
             # shapes
             f[band] = special.ndtr(z[band])
             np.subtract(f[:, :, 1:], f[:, :, :-1], out=out[blk])
+    out[half:] = out[:k - half][::-1, ::-1, ::-1]
     return out
 
 

@@ -69,7 +69,12 @@ def _conditional_mi(q: InputQuantizer, model: PufModel, nodes: int) -> float:
     the uniform helper value; the one implementation every rate uses."""
     xs, wts = unit_interval_rule(nodes)
     mats = channel_mod.per_w_channels(q, xs, model)
-    return float(wts @ _mi_per_node(mats, q.probs))
+    # on a mirror-folded stack node K-1-k repeats node k's information,
+    # so the leading half carries the weights of both
+    half = channel_mod._mirror_half(q, xs)
+    folded = wts[:half].copy()
+    folded[:nodes - half] += wts[half:][::-1]
+    return float(folded @ _mi_per_node(mats[:half], q.probs))
 
 
 def conditional_mi_given_w(q: InputQuantizer, model: PufModel | None = None,

@@ -115,6 +115,17 @@ def _symmetric_knots(h: np.ndarray, levels: int) -> np.ndarray:
     return np.concatenate((h, mid, 1.0 - h[::-1]))
 
 
+def _symmetric_quantizer(model: PufModel, h: np.ndarray,
+                         levels: int) -> InputQuantizer:
+    """Quantizer of the mirror-symmetric knot vector with lower half h.
+    Its borders are made exactly antisymmetric (ndtri(u) and ndtri(1 - u)
+    need not be exact negatives), so the channel kernel folds them."""
+    inner = model.sigma_p * special.ndtri(
+        repair_knots(_symmetric_knots(h, levels)))
+    return InputQuantizer.from_borders(model, 0.5 * (inner - inner[::-1]),
+                                       kind="optimized")
+
+
 def optimize_quantizer(model: PufModel, levels: int,
                        objective: AttackerSpec, budget: int = 2000, *,
                        nodes: int = 64):
@@ -137,7 +148,7 @@ def optimize_quantizer(model: PufModel, levels: int,
         nonlocal evals
         evals += 1
         try:
-            q = quantizer_from_knots(model, _symmetric_knots(h, levels))
+            q = _symmetric_quantizer(model, h, levels)
         except DomainError:
             return 1e9
         return -_rate(q, objective, nodes)
@@ -158,7 +169,7 @@ def optimize_quantizer(model: PufModel, levels: int,
                      "xatol": 1e-6, "fatol": 1e-9, "adaptive": True})
         if res.fun < best_f:
             best_h, best_f = res.x, res.fun
-    q = quantizer_from_knots(model, _symmetric_knots(best_h, levels))
+    q = _symmetric_quantizer(model, best_h, levels)
     # final rate at the search resolution; callers can re-score with more nodes
     return OptimizeResult(
         quantizer=q, rate=max(-best_f, 0.0), evaluations=evals,

@@ -108,6 +108,9 @@ def make_equiprobable(model: PufModel, levels: int) -> InputQuantizer:
         raise DomainError(f"levels must be >= 2, got {levels}")
     u = np.arange(1, levels) / levels
     inner = model.sigma_p * special.ndtri(u)
+    # ndtri(t/N) and ndtri(1 - t/N) need not be exact negatives (odd N);
+    # this makes the borders exactly antisymmetric and leaves exact ones be
+    inner = 0.5 * (inner - inner[::-1])
     q = InputQuantizer.from_borders(model, inner, kind="equiprobable")
     # Snap the stored CDF grid to the exact rationals t/N.
     cdf = np.concatenate(([0.0], u, [1.0]))
@@ -181,9 +184,9 @@ def sibling_points(q: InputQuantizer, w) -> np.ndarray:
     u = q.cdf[:-1] + np.multiply.outer(w, q.probs)       # mass from the left
     v = q.sf[:-1] - np.multiply.outer(w, q.probs)        # mass from the right
     lower = u <= 0.5
-    x = np.where(lower,
-                 special.ndtri(np.where(lower, u, 0.5)),
-                 -special.ndtri(np.where(lower, 0.5, np.clip(v, 0.0, 1.0))))
+    # the upper entries are -Phi^{-1}(v): one ndtri call, then negate them
+    x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)))
+    np.negative(x, out=x, where=~lower)
     return q.model.sigma_p * x
 
 

@@ -7,8 +7,11 @@ closed forms built from a ChannelSummary's second moments.  The pmf
 builders construct the attacker-extended sources explicitly.  The merge
 oracle is the scalar pop-stack construction of the MAP output quantizer,
 the second route for the vectorized decision borders in pufsec.quantizer.
-The dense kernels are the band-free, unblocked forms of the channel stack
-and of I(S;S~|W=w), which the package's kernels must match to the bit.
+The dense kernels are the band-free, unblocked, unfolded forms of the
+channel stack and of I(S;S~|W=w); the package's kernels match them to the
+bit except on mirror-folded stacks, where they match to rounding.  The
+two-call sibling points are the form the one-call kernel must match to the
+bit.
 """
 
 import math
@@ -155,6 +158,19 @@ def oracle_channel(x, p, sigma_n):
     out = np.zeros((len(x), len(x)))
     out[:, list(labels)] = np.diff(special.ndtr(z), axis=1)
     return out
+
+
+def two_call_sibling_points(q, w):
+    """g_t^{-1}(w) with Phi^{-1} called separately on the lower entries
+    (mass from the left) and on the upper ones (mass from the right)."""
+    w = np.asarray(w, dtype=float)
+    u = q.cdf[:-1] + np.multiply.outer(w, q.probs)
+    v = q.sf[:-1] - np.multiply.outer(w, q.probs)
+    lower = u <= 0.5
+    x = np.where(lower,
+                 special.ndtri(np.where(lower, u, 0.5)),
+                 -special.ndtri(np.where(lower, 0.5, np.clip(v, 0.0, 1.0))))
+    return q.model.sigma_p * x
 
 
 def dense_per_w_channels(q, ws):

@@ -142,7 +142,8 @@ def test_criterion_6_optimizer(kind):
     for levels <= 32 reach the published values within 0.005 (values
     above the published ones count as pass: the published numbers are a
     search result, not an upper bound, and several of our quantizers are
-    verifiably better -- see the decisions ledger)."""
+    verifiably better -- see DECISIONS.md, "Optimized rate cells above
+    the published ones")."""
     budgets = {2: 100, 4: 300, 8: 700, 16: 1500, 32: 2000}
     p_d, p_a = 0.18, 0.36
     att = (AttackerSpec("digital", p_d=p_d) if kind == "digital"
@@ -236,7 +237,8 @@ def test_criterion_8_degenerate_identities():
     p_d (1 - p_d) log2^2 |S|, and the analog dispersion reduces to the
     digital one at p_a = p_d, both to 1e-12.  The reduction is tested on
     the noiseless channel: for noisy channels the two differ (the analog
-    view is strictly more informative); see the decisions ledger."""
+    view is strictly more informative); see DECISIONS.md, "Noisy analog
+    v2 does not reduce to the digital one"."""
     m = PufModel(2241.0, 1e-6)          # identity channel in double precision
     s = bounds.summarize_channel(make_equiprobable(m, 8), m, nodes=64)
     ok = True

@@ -140,8 +140,8 @@ class TestDegenerateIdentities:
     def test_noisy_analog_v2_does_not_reduce(self):
         # documented deviation: with substantial channel noise the analog
         # view (s~, s) has a different information density than s~ alone
-        # even at p_a = p_d, so the two dispersions differ; see the
-        # decisions ledger
+        # even at p_a = p_d, so the two dispersions differ; see DECISIONS.md,
+        # "Noisy analog v2 does not reduce to the digital one"
         m = PufModel(2241.0, 1500.0)
         s = bounds.summarize_channel(make_equiprobable(m, 4), m, nodes=64)
         diff = abs(bounds.dispersion_v2_analog(s, 0.3, 0.3)

@@ -7,11 +7,14 @@ from pufsec.stats import DomainError, PufModel, unit_interval_rule
 from pufsec.quantizer import (InputQuantizer, make_equidistant,
                               make_equiprobable, output_quantizer,
                               sibling_points)
+from pufsec import channel
 from pufsec.channel import (_PHI_ONE, _PHI_ZERO, ERASURE, AttackerSpec,
-                            ChannelMatrix, analog_extension,
+                            ChannelMatrix, _mirror_half, analog_extension,
                             averaged_channel, channel_given_w,
                             digital_extension, per_w_channels)
-from pufsec.info import _mi_per_node, entropy, mutual_information
+from pufsec.info import (_conditional_mi, _mi_per_node, entropy,
+                         mutual_information)
+from pufsec.optimize import _symmetric_quantizer
 from pufsec.tables import equidistant_reference
 from oracles import (dense_mi_per_node, dense_per_w_channels, oracle_channel,
                      oracle_output_quantizer)
@@ -132,6 +135,103 @@ class TestBandKernel:
         ws = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(16, 200))))
         ws[0] = 0.0
         self.assert_matches_dense(q, ws)
+
+
+def _table_quantizer(strategy, levels):
+    if strategy == "equiprobable":
+        return make_equiprobable(MODEL, levels)
+    return equidistant_reference(MODEL, levels)
+
+
+def _optimizer_candidate(seed):
+    """A mirror-symmetric quantizer as the optimizer builds it, from a
+    random lower half of the knot vector, with its own noise level."""
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(2, 65))
+    model = PufModel(2241.0, rng.uniform(60.0, 400.0))
+    h = np.sort(rng.uniform(0.0, 0.5, (levels - 1) // 2))
+    return _symmetric_quantizer(model, h, levels)
+
+
+class TestMirrorFold:
+    """On mirror-symmetric quantizers and Gauss-Legendre nodes the kernel
+    evaluates half the nodes and mirrors the rest (see DECISIONS.md, "The
+    mirror-folded channel kernel").  The folded stack equals the dense,
+    unfolded one up to rounding; everything else stays bit-identical."""
+
+    NODES = (16, 17, 64, 128, 256)
+
+    @staticmethod
+    def assert_folded_close(q):
+        for k in TestMirrorFold.NODES:
+            # the dense oracle's memory grows as K N^2 (cap as in
+            # TestBandKernel)
+            if k * q.levels ** 2 > 128 * 256 ** 2:
+                continue
+            xs, _ = unit_interval_rule(k)
+            assert _mirror_half(q, xs) == (k + 1) // 2
+            mats = per_w_channels(q, xs)
+            assert np.max(np.abs(mats - dense_per_w_channels(q, xs))) <= 2e-14
+            assert np.max(np.abs(mats.sum(axis=2) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("levels", (2, 3, 4, 5, 8, 16, 32, 64, 128, 256))
+    @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
+    def test_table_quantizers_fold_to_dense(self, strategy, levels):
+        self.assert_folded_close(_table_quantizer(strategy, levels))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_optimizer_candidates_fold_to_dense(self, seed):
+        self.assert_folded_close(_optimizer_candidate(seed))
+
+    def test_no_fold_without_exact_symmetry(self):
+        xs, _ = unit_interval_rule(64)
+        asym = InputQuantizer.from_borders(
+            MODEL, MODEL.sigma_p * np.array([-1.0, -0.2, 0.4, 1.3]))
+        # one ulp off antisymmetric is enough to take the unfolded path
+        ep = make_equiprobable(MODEL, 8)
+        near = InputQuantizer.from_borders(
+            MODEL, np.nextafter(ep.inner_borders, np.inf))
+        for q in (asym, near):
+            assert _mirror_half(q, xs) == 64
+            assert np.array_equal(per_w_channels(q, xs),
+                                  dense_per_w_channels(q, xs))
+        # symmetric quantizer, but arange(K)/K forms no mirror pairs
+        ws = np.arange(64) / 64
+        assert _mirror_half(ep, ws) == 64
+        assert np.array_equal(per_w_channels(ep, ws),
+                              dense_per_w_channels(ep, ws), equal_nan=True)
+
+    def test_quantizers_are_exactly_symmetric(self):
+        qs = [make_equiprobable(MODEL, n) for n in (3, 5, 7, 9, 33, 255)]
+        qs += [_optimizer_candidate(seed) for seed in range(6)]
+        for q in qs:
+            inner = q.inner_borders
+            assert np.array_equal(inner, -inner[::-1])
+            assert np.array_equal(q.probs, q.probs[::-1])
+
+    @pytest.mark.parametrize("nodes", (16, 17, 64, 128))
+    def test_conditional_mi_on_folded_stack(self, nodes):
+        xs, wts = unit_interval_rule(nodes)
+        qs = [_table_quantizer(s, n) for s in ("equiprobable", "equidistant")
+              for n in (2, 3, 8, 64, 256)]
+        qs += [_optimizer_candidate(seed) for seed in range(6)]
+        for q in qs:
+            assert _mirror_half(q, xs) == (nodes + 1) // 2
+            dense = wts @ dense_mi_per_node(dense_per_w_channels(q, xs),
+                                            q.probs)
+            assert abs(_conditional_mi(q, q.model, nodes) - dense) <= 1e-14
+
+    def test_fold_evaluates_half_the_sibling_points(self, monkeypatch):
+        rows = []
+
+        def spy(q, w):
+            rows.append(np.shape(w)[0])
+            return sibling_points(q, w)
+
+        monkeypatch.setattr(channel, "sibling_points", spy)
+        xs, _ = unit_interval_rule(128)
+        per_w_channels(make_equiprobable(MODEL, 64), xs)
+        assert rows == [64]
 
 
 class TestAveraging:

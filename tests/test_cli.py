@@ -87,6 +87,11 @@ DOMAIN_ERRORS = {
                          *EQUIDISTANT, "--levels", "64"],
     "bad-sigma-p": ["--sigma-p", "-1", "rate", "--attacker", "digital",
                     "--pd", "0.18"],
+    "cells-cap-zero": ["cells", "--attacker", "digital", "--pd", "0.18",
+                       "--levels", "4", "--security", "128", "--cap", "0"],
+    "cells-cap-negative": ["cells", "--attacker", "digital", "--pd", "0.18",
+                           "--levels", "4", "--security", "128", "--cap",
+                           "-5"],
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
+from oracles import two_call_sibling_points
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import (InputQuantizer, helper_data, make_equidistant,
                               make_equiprobable, output_quantizer, reconstruct,
@@ -105,6 +106,24 @@ class TestHelperData:
         for w in (0.0, 0.31, 0.97):
             x = sibling_points(q, w)
             assert np.all(np.diff(x) > 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sibling_points_match_two_call_form(self, seed):
+        # one Phi^{-1} call, with the upper entries negated after it, gives
+        # the two-call form's points to the bit, w = 0 (-inf) included
+        rng = np.random.default_rng(seed)
+        inner = np.unique(rng.uniform(-8.0, 8.0, 40))
+        quantizers = (make_equiprobable(MODEL, 16),
+                      make_equidistant(MODEL, 256, 20000.0 / 256),
+                      InputQuantizer.from_borders(MODEL, MODEL.sigma_p * inner))
+        ws = np.concatenate(([0.0, np.nextafter(1.0, 0.0)],
+                             rng.uniform(0.0, 1.0, 2000)))
+        for q in quantizers:
+            assert np.array_equal(sibling_points(q, ws),
+                                  two_call_sibling_points(q, ws))
+            for w in ws[:3]:
+                assert np.array_equal(sibling_points(q, w),
+                                      two_call_sibling_points(q, w))
 
     def test_invalid_inputs(self):
         q = make_equiprobable(MODEL, 4)

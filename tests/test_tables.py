@@ -102,7 +102,8 @@ class TestGeneration:
 
 # Table 2, N = 64, equiprobable digital reads 0.71652 against a published
 # 0.716; it is the one non-optimized cell of tables 1-2 outside +-0.0005,
-# so it is pinned at its own value instead.
+# so it is pinned at its own value instead (DECISIONS.md, "The pinned rate
+# cell").
 RATE_EXCEPTIONS = {(2, 64, "equiprobable digital"): 0.71652}
 
 
