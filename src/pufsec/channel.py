@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special
@@ -33,10 +36,64 @@ _PHI_ONE = 8.3
 _PHI_ZERO = -38.0
 
 
+# CPUs this process may run on (os.cpu_count() where the platform has no
+# affinity mask): a call's node blocks run on its own thread and on up to
+# _THREADS - 1 pool threads.  The pool starts its threads at the first
+# submit, not at import.
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _new_pool():
+    global _POOL
+    _POOL = ThreadPoolExecutor(_THREADS, thread_name_prefix="pufsec-blocks")
+
+
+_new_pool()
+# a forked child inherits the pool but none of its threads, and would wait
+# forever on its first pooled call: it gets a pool of its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
 def _node_blocks(nodes: int, entries_per_node: int):
     """Consecutive slices of the node axis, _BLOCK_ENTRIES entries each."""
     step = max(1, _BLOCK_ENTRIES // entries_per_node)
     return [slice(k, min(k + step, nodes)) for k in range(0, nodes, step)]
+
+
+def _run_blocks(job, blocks) -> None:
+    """job(blk) for every node block.  The calling thread and up to
+    _THREADS - 1 pool threads take the blocks one at a time, in order, until
+    none is left; a single block runs inline.
+
+    Each job writes only its own slice of a preallocated output, so the
+    result is the same to the bit for any number of threads and any order.
+    Jobs call no public pufsec function (the perfbench tracer's span stack
+    is not thread-safe), and numpy's errstate is per thread, so a job sets
+    its own.
+    """
+    if len(blocks) == 1:
+        job(blocks[0])
+        return
+    todo = iter(blocks)
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                blk = next(todo, None)
+            if blk is None:
+                return
+            job(blk)
+
+    helpers = [_POOL.submit(drain)
+               for _ in range(min(_THREADS, len(blocks)) - 1)]
+    try:
+        drain()
+    finally:
+        for f in helpers:
+            f.result()              # waits, and re-raises a job's exception
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -142,13 +199,17 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     k = len(ws)
     half = _mirror_half(q, ws)
     x = sibling_points(q, ws[:half])                        # (half, N)
+    # one call for all nodes, on this thread: on merged rows the kernel
+    # loops over the levels in Python, which neither splits into blocks
+    # nor gains from a second thread
     b = _decision_borders(q, x, model.sigma_n)              # (half, N+1)
     n = x.shape[1]
     out = np.empty((k, n, n))
-    # at w = 0 the -inf sibling point meets the -inf border: the NaN that
-    # inf - inf gives is the documented NaN row, not a fault
-    with np.errstate(invalid="ignore"):
-        for blk in _node_blocks(half, n * (n + 1)):
+
+    def job(blk):
+        # at w = 0 the -inf sibling point meets the -inf border: the NaN
+        # that inf - inf gives is the documented NaN row, not a fault
+        with np.errstate(invalid="ignore"):
             z = (b[blk, None, :] - x[blk, :, None]) / model.sigma_n
             one = z >= _PHI_ONE
             band = ~(one | (z <= _PHI_ZERO))     # NaN stays in the band
@@ -158,7 +219,13 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
             # shapes
             f[band] = special.ndtr(z[band])
             np.subtract(f[:, :, 1:], f[:, :, :-1], out=out[blk])
-    out[half:] = out[:k - half][::-1, ::-1, ::-1]
+        # the mirror images of this block's nodes, k-1-j for j < k - half,
+        # written while the block is still in cache
+        stop = min(blk.stop, k - half)
+        if stop > blk.start:
+            out[k - stop:k - blk.start] = out[blk.start:stop][::-1, ::-1, ::-1]
+
+    _run_blocks(job, _node_blocks(half, n * (n + 1)))
     return out
 
 

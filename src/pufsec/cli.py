@@ -188,6 +188,7 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
               "cells_ach": ach, "cells_conv": conv}
     if attacker == "analog":
         record["p_a"] = p_a
+    record["quadrature_delta"] = summary.metadata["refinement_delta"]
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -257,13 +258,16 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
     q = _quantizer(ctx, levels, strategy, att)
     query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
                               security_bits=security, n=n)
-    conv = bounds.min_cells(query, "converse", cap=max(10 * n, 10 ** 6))
+    summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
+    conv = bounds.min_cells(query, "converse", cap=max(10 * n, 10 ** 6),
+                            summary=summary)
     feasible = conv is not None and n >= conv
     record = {"cells": n, "levels": levels, "strategy": strategy,
               "attacker": attacker, "p_d": p_d, "epsilon": eps,
               "security_bits": security, "converse_min_cells": conv,
               "gap": None if conv is None else n - conv,
-              "verdict": "FEASIBLE" if feasible else "INFEASIBLE"}
+              "verdict": "FEASIBLE" if feasible else "INFEASIBLE",
+              "quadrature_delta": summary.metadata["refinement_delta"]}
     _emit(ctx, _render_record(ctx, record))
     if not feasible:
         sys.exit(1)

@@ -52,7 +52,8 @@ def _mi_per_node(mats, probs):
     """
     k, n, m = mats.shape
     out = np.empty(k)
-    for blk in channel_mod._node_blocks(k, n * m):
+
+    def job(blk):
         joint = probs[None, :, None] * mats[blk]
         out_marg = joint.sum(axis=1, keepdims=True)
         nz = joint > 0
@@ -61,6 +62,8 @@ def _mi_per_node(mats, probs):
         np.log2(contrib, out=contrib, where=nz)
         np.multiply(joint, contrib, out=contrib, where=nz)
         out[blk] = contrib.sum(axis=(1, 2))
+
+    channel_mod._run_blocks(job, channel_mod._node_blocks(k, n * m))
     return out
 
 

@@ -65,12 +65,6 @@ def repair_knots(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def quantizer_from_knots(model: PufModel, u) -> InputQuantizer:
-    u = repair_knots(u)
-    inner = model.sigma_p * special.ndtri(u)
-    return InputQuantizer.from_borders(model, inner, kind="optimized")
-
-
 def best_equidistant_step(model: PufModel, levels: int,
                           objective: AttackerSpec, *, nodes: int = 64):
     """(step, rate) maximizing the asymptotic rate over the step size.

@@ -20,7 +20,11 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, helper_values, sibling_points
 from .channel import AttackerSpec
 
-_CHUNK = 1_000_000
+# Samples per chunk.  Small enough that a chunk's (size, N) temporaries are
+# reused from the allocator's heap instead of being mapped and faulted in
+# afresh (1M-sample chunks are 128 MB at N = 16); the Philox per-sample
+# layout makes every result independent of it.
+_CHUNK = 65_536
 
 
 @dataclasses.dataclass(frozen=True)

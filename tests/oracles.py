@@ -11,7 +11,8 @@ The dense kernels are the band-free, unblocked, unfolded forms of the
 channel stack and of I(S;S~|W=w); the package's kernels match them to the
 bit except on mirror-folded stacks, where they match to rounding.  The
 two-call sibling points are the form the one-call kernel must match to the
-bit.
+bit.  The knot quantizer is the plain knot-to-border map, without the
+mirror symmetry the optimizer imposes on its candidates.
 """
 
 import math
@@ -19,7 +20,8 @@ import math
 import numpy as np
 from scipy import special
 
-from pufsec.quantizer import _decision_borders, sibling_points
+from pufsec.optimize import repair_knots
+from pufsec.quantizer import InputQuantizer, _decision_borders, sibling_points
 
 
 def random_markov(rng, nx, ny, nz):
@@ -192,3 +194,10 @@ def dense_mi_per_node(mats, probs):
         ratio = np.where(nz, mats, 1.0) / np.where(nz, out_marg, 1.0)
         contrib = np.where(nz, joint * np.log2(np.where(nz, ratio, 1.0)), 0.0)
     return contrib.sum(axis=(1, 2))
+
+
+def quantizer_from_knots(model, u):
+    """Quantizer with borders sigma_P * Phi^{-1}(u) at the repaired knots u,
+    with no symmetry imposed."""
+    inner = model.sigma_p * special.ndtri(repair_knots(u))
+    return InputQuantizer.from_borders(model, inner, kind="optimized")

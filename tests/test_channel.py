@@ -1,3 +1,12 @@
+import functools
+import multiprocessing
+import os
+import sys
+import threading
+import time
+import types
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +16,8 @@ from pufsec.stats import DomainError, PufModel, unit_interval_rule
 from pufsec.quantizer import (InputQuantizer, make_equidistant,
                               make_equiprobable, output_quantizer,
                               sibling_points)
-from pufsec import channel
+import pufsec
+from pufsec import bounds, channel, info, quantizer, stats
 from pufsec.channel import (_PHI_ONE, _PHI_ZERO, ERASURE, AttackerSpec,
                             ChannelMatrix, _mirror_half, analog_extension,
                             averaged_channel, channel_given_w,
@@ -232,6 +242,105 @@ class TestMirrorFold:
         xs, _ = unit_interval_rule(128)
         per_w_channels(make_equiprobable(MODEL, 64), xs)
         assert rows == [64]
+
+
+def _inline(job, blocks):
+    for blk in blocks:
+        job(blk)
+
+
+class TestNodePool:
+    """per_w_channels and _mi_per_node run their node blocks on a shared
+    thread pool (see DECISIONS.md, "Parallel node blocks").  Every block
+    writes its own slice, so the pooled results equal inline ones to the
+    bit, on any number of threads."""
+
+    @staticmethod
+    def assert_pool_matches_inline(monkeypatch, q, ws, nodes=None):
+        def results():
+            mats = per_w_channels(q, ws)
+            mi = (_conditional_mi(q, q.model, nodes) if nodes
+                  else _mi_per_node(mats, q.probs))
+            return mats, mi
+
+        pooled = results()
+        # more threads than CPUs, switching between threads every 1 us
+        switch = sys.getswitchinterval()
+        threads = 4 * channel._THREADS
+        with ThreadPoolExecutor(threads) as pool:
+            monkeypatch.setattr(channel, "_POOL", pool)
+            monkeypatch.setattr(channel, "_THREADS", threads)
+            sys.setswitchinterval(1e-6)
+            try:
+                crowded = results()
+            finally:
+                sys.setswitchinterval(switch)
+        monkeypatch.setattr(channel, "_run_blocks", _inline)
+        inline = results()
+        for got in (pooled, crowded):
+            for a, b in zip(got, inline):
+                assert np.array_equal(a, b, equal_nan=True)
+
+    @pytest.mark.parametrize("strategy,nodes", [
+        ("equiprobable", 128), ("equiprobable", 256), ("equidistant", 128)])
+    def test_pool_matches_inline(self, monkeypatch, strategy, nodes):
+        # equidistant N = 256 has merged rows
+        xs, _ = unit_interval_rule(nodes)
+        self.assert_pool_matches_inline(
+            monkeypatch, _table_quantizer(strategy, 256), xs, nodes)
+
+    def test_unfolded_stack_with_nan_row(self, monkeypatch):
+        q = make_equiprobable(MODEL, 256)
+        ws = np.arange(128) / 128            # no mirror pairs, w = 0 first
+        assert _mirror_half(q, ws) == 128
+        assert np.isnan(per_w_channels(q, ws[:1])[0, 0]).any()
+        self.assert_pool_matches_inline(monkeypatch, q, ws)
+
+    def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
+        # the perfbench tracer keeps one span stack, which is not
+        # thread-safe: no public quantizer or stats function may run in a job
+        public = {id(f): f for mod in (quantizer, stats)
+                  for name, f in vars(mod).items()
+                  if not name.startswith("_")
+                  and isinstance(f, types.FunctionType)
+                  and f.__module__ == mod.__name__}
+        calls = []
+
+        def spy(f):
+            @functools.wraps(f)
+            def wrapper(*args, **kwargs):
+                calls.append(threading.get_ident())
+                return f(*args, **kwargs)
+            return wrapper
+
+        for ns in (pufsec, quantizer, stats, channel, info, bounds):
+            for name, obj in list(vars(ns).items()):
+                if id(obj) in public:
+                    monkeypatch.setattr(ns, name, spy(obj))
+        main = threading.get_ident()
+        workers = set()
+
+        def ndtr(z):
+            workers.add(threading.get_ident())
+            if threading.get_ident() == main:
+                time.sleep(1e-3)            # leave blocks for the pool
+            return special.ndtr(z)
+
+        monkeypatch.setattr(channel, "special", types.SimpleNamespace(ndtr=ndtr))
+        monkeypatch.setattr(channel, "_THREADS", 2)  # a helper even on one CPU
+        bounds.summarize_channel(make_equidistant(MODEL, 64, 20000.0 / 64),
+                                 nodes=64)
+        assert calls and set(calls) == {main}
+        assert len(workers) > 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_pool(self):
+        q = make_equiprobable(MODEL, 64)
+        xs, _ = unit_interval_rule(128)
+        mats = per_w_channels(q, xs)        # the parent's pool threads run
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(per_w_channels, (q, xs)).get(timeout=60)
+        assert np.array_equal(child, mats)
 
 
 class TestAveraging:

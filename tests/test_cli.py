@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from pufsec import bounds
 from pufsec.cli import main
 
 
@@ -127,6 +128,33 @@ class TestCells:
         res = run(runner, "cells", "--attacker", "digital", "--pd", "0.18",
                   "--levels", "8", "--security", "0")
         assert res.exit_code == 2
+
+
+QUERIES = {
+    "cells": ["cells", "--attacker", "digital", "--pd", "0.18", "--levels",
+              "8", "--security", "128"],
+    "audit": ["audit", "--cells", "459", "--levels", "8", "--pd", "0.18",
+              "--security", "128"],
+}
+
+
+@pytest.mark.parametrize("args", QUERIES.values(), ids=QUERIES)
+def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
+                                                    args):
+    # every summary the command builds, min_cells' own included
+    summaries = []
+    real = bounds.summarize_channel
+
+    def spy(q, model=None, nodes=128):
+        summaries.append(real(q, model, nodes))
+        return summaries[-1]
+
+    monkeypatch.setattr(bounds, "summarize_channel", spy)
+    res = run(runner, "--nodes", "16", "--format", "json", *args)
+    assert res.exit_code in (0, 1)
+    assert [s.nodes for s in summaries] == [16]
+    assert (json.loads(res.output)["quadrature_delta"]
+            == summaries[0].metadata["refinement_delta"])
 
 
 class TestTable:

@@ -6,9 +6,9 @@ from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equiprobable
 from pufsec.channel import AttackerSpec
 from pufsec.optimize import (KNOT_MARGIN, best_equidistant_step,
-                             optimize_quantizer, quantizer_from_knots,
-                             repair_knots)
+                             optimize_quantizer, repair_knots)
 from pufsec import bounds
+from oracles import quantizer_from_knots
 
 MODEL = PufModel(2241.0, 129.0)
 DIGITAL = AttackerSpec("digital", p_d=0.18)

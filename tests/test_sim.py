@@ -23,18 +23,26 @@ class TestDeterminism:
         b = run_simulation(SimConfig(MODEL, q, samples=50_000, seed=2))
         assert a.to_json() != b.to_json()
 
-    def test_chunking_invariance(self):
-        # crossing the chunk boundary must not change the sample stream
+    def test_chunking_invariance(self, monkeypatch):
+        # crossing chunk boundaries must not change the sample stream, so
+        # every entry point gives the same output in one chunk or in five
         import pufsec.sim as sim_mod
-        cfg = SimConfig(MODEL, make_equiprobable(MODEL, 4),
-                        samples=5000, seed=9)
-        ref = run_simulation(cfg).to_json()
-        old = sim_mod._CHUNK
-        try:
-            sim_mod._CHUNK = 1999
-            assert run_simulation(cfg).to_json() == ref
-        finally:
-            sim_mod._CHUNK = old
+        q = make_equidistant(MODEL, 8, 20000.0 / 8)
+        cfgs = [SimConfig(MODEL, q, samples=20_000, seed=9, attacker=att)
+                for att in (AttackerSpec("digital", p_d=0.18),
+                            AttackerSpec("analog", p_d=0.18, p_a=0.36))]
+
+        def outputs():
+            return [run_simulation(cfgs[0]).to_json(),
+                    leakage_test(cfgs[0]),
+                    leakage_test(cfgs[0], helper="center-distance"),
+                    *(attacker_observations(c)["counts"].tolist()
+                      for c in cfgs)]
+
+        assert cfgs[0].samples <= sim_mod._CHUNK
+        ref = outputs()
+        monkeypatch.setattr(sim_mod, "_CHUNK", 4097)
+        assert outputs() == ref
 
 
 class TestPipeline:
