@@ -4,8 +4,7 @@ quantized Gaussian PUF cells with zero-leakage helper data."""
 from .stats import DomainError, PufModel, q_function, q_inverse
 from .quantizer import (InputQuantizer, OutputQuantizer, helper_data,
                         make_equidistant, make_equiprobable,
-                        output_quantizer, reconstruct, sibling_point,
-                        sibling_points)
+                        output_quantizer, reconstruct, sibling_points)
 from .channel import (AttackerSpec, ChannelMatrix, analog_extension,
                       averaged_channel, channel_given_w, digital_extension)
 from .info import conditional_mi_given_w, entropy, mutual_information
@@ -32,6 +31,6 @@ __all__ = [
     "helper_data", "leakage_test", "make_equidistant",
     "make_equiprobable", "min_cells", "mutual_information",
     "optimize_quantizer", "output_quantizer", "q_function", "q_inverse",
-    "reconstruct", "run_simulation", "sibling_point", "sibling_points",
+    "reconstruct", "run_simulation", "sibling_points",
     "summarize_channel",
 ]

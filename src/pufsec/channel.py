@@ -12,88 +12,22 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special
 
+from . import _blocks
 from .stats import DomainError, PufModel, unit_interval_rule
 from .quantizer import (InputQuantizer, _decision_borders, output_quantizer,
                         sibling_points)
 
 ERASURE = "E"
 
-# per_w_channels and info._mi_per_node walk the quadrature nodes in blocks
-# of about this many array entries, so that their temporaries stay in cache
-# (2 vCPU, K = 128: 2**18 was up to 36% slower at N = 256, 2**14 no faster).
-_BLOCK_ENTRIES = 1 << 16
 # scipy's ndtr returns exactly 1.0 from z = 8.29237 up and exactly 0.0 from
 # z = -37.677 down, so outside [_PHI_ZERO, _PHI_ONE] it is not evaluated and
 # the result is the same to the bit (tests/test_channel.py pins both edges).
 _PHI_ONE = 8.3
 _PHI_ZERO = -38.0
-
-
-# CPUs this process may run on (os.cpu_count() where the platform has no
-# affinity mask): a call's node blocks run on its own thread and on up to
-# _THREADS - 1 pool threads.  The pool starts its threads at the first
-# submit, not at import.
-_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _new_pool():
-    global _POOL
-    _POOL = ThreadPoolExecutor(_THREADS, thread_name_prefix="pufsec-blocks")
-
-
-_new_pool()
-# a forked child inherits the pool but none of its threads, and would wait
-# forever on its first pooled call: it gets a pool of its own
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
-
-
-def _node_blocks(nodes: int, entries_per_node: int):
-    """Consecutive slices of the node axis, _BLOCK_ENTRIES entries each."""
-    step = max(1, _BLOCK_ENTRIES // entries_per_node)
-    return [slice(k, min(k + step, nodes)) for k in range(0, nodes, step)]
-
-
-def _run_blocks(job, blocks) -> None:
-    """job(blk) for every node block.  The calling thread and up to
-    _THREADS - 1 pool threads take the blocks one at a time, in order, until
-    none is left; a single block runs inline.
-
-    Each job writes only its own slice of a preallocated output, so the
-    result is the same to the bit for any number of threads and any order.
-    Jobs call no public pufsec function (the perfbench tracer's span stack
-    is not thread-safe), and numpy's errstate is per thread, so a job sets
-    its own.
-    """
-    if len(blocks) == 1:
-        job(blocks[0])
-        return
-    todo = iter(blocks)
-    lock = threading.Lock()
-
-    def drain():
-        while True:
-            with lock:
-                blk = next(todo, None)
-            if blk is None:
-                return
-            job(blk)
-
-    helpers = [_POOL.submit(drain)
-               for _ in range(min(_THREADS, len(blocks)) - 1)]
-    try:
-        drain()
-    finally:
-        for f in helpers:
-            f.result()              # waits, and re-raises a job's exception
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -225,7 +159,7 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
         if stop > blk.start:
             out[k - stop:k - blk.start] = out[blk.start:stop][::-1, ::-1, ::-1]
 
-    _run_blocks(job, _node_blocks(half, n * (n + 1)))
+    _blocks._run_blocks(job, _blocks._row_blocks(half, n * (n + 1)))
     return out
 
 

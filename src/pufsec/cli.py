@@ -4,7 +4,6 @@ optimization."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 
@@ -310,12 +309,16 @@ def simulate(ctx, levels, strategy, step, samples, seed, attacker, p_d, p_a,
 
 
 def _dump_samples(cfg, path, cap=1_000_000):
-    capped = dataclasses.replace(cfg, samples=min(cfg.samples, cap))
+    # chunk by chunk, as sim does: one call on all rows would hold (rows, N)
+    # temporaries at once
+    rows = min(cfg.samples, cap)
     with open(path, "w") as fh:
         fh.write("s,w,s_tilde\n")
-        s, w, st, _ = sim._simulate_chunk(capped, 0, capped.samples)
-        for a, b, c in zip(s, w, st):
-            fh.write(f"{a},{b:.6g},{c}\n")
+        for start in range(0, rows, sim._CHUNK):
+            s, w, st, _ = sim._simulate_chunk(
+                cfg, start, min(sim._CHUNK, rows - start))
+            for a, b, c in zip(s, w, st):
+                fh.write(f"{a},{b:.6g},{c}\n")
 
 
 @main.command("optimize")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .stats import DomainError, PufModel, unit_interval_rule
 from .quantizer import InputQuantizer
-from . import channel as channel_mod
+from . import _blocks, channel as channel_mod
 
 
 def _validate_pmf(p, tol=1e-12):
@@ -63,7 +63,7 @@ def _mi_per_node(mats, probs):
         np.multiply(joint, contrib, out=contrib, where=nz)
         out[blk] = contrib.sum(axis=(1, 2))
 
-    channel_mod._run_blocks(job, channel_mod._node_blocks(k, n * m))
+    _blocks._run_blocks(job, _blocks._row_blocks(k, n * m))
     return out
 
 

@@ -18,6 +18,7 @@ import math
 import numpy as np
 from scipy import special
 
+from . import _blocks
 from .stats import DomainError, PufModel
 
 
@@ -168,26 +169,27 @@ def helper_data(q: InputQuantizer, x: float):
     return int(t), float(w)
 
 
-def sibling_point(q: InputQuantizer, t: int, w: float) -> float:
-    """Point in interval t whose helper value is w, i.e. g_t^{-1}(w)."""
-    if not 0 <= t < q.levels:
-        raise DomainError(f"level index {t} out of range")
-    if not 0.0 <= w < 1.0:
-        raise DomainError(f"helper value must lie in [0,1), got {w!r}")
-    return float(sibling_points(q, w)[t])
-
-
 def sibling_points(q: InputQuantizer, w) -> np.ndarray:
     """g_t^{-1}(w) for every level t; w may be a scalar or an array
-    (result shape (..., N))."""
+    (result shape (..., N)).  The rows run in blocks (`_blocks`), each
+    written into its own slice of the output."""
     w = np.asarray(w, dtype=float)
-    u = q.cdf[:-1] + np.multiply.outer(w, q.probs)       # mass from the left
-    v = q.sf[:-1] - np.multiply.outer(w, q.probs)        # mass from the right
-    lower = u <= 0.5
-    # the upper entries are -Phi^{-1}(v): one ndtri call, then negate them
-    x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)))
-    np.negative(x, out=x, where=~lower)
-    return q.model.sigma_p * x
+    flat = w.reshape(-1)
+    out = np.empty((flat.size, q.levels))
+
+    def job(blk):
+        wb = flat[blk]
+        u = q.cdf[:-1] + np.multiply.outer(wb, q.probs)   # mass from the left
+        v = q.sf[:-1] - np.multiply.outer(wb, q.probs)    # mass from the right
+        lower = u <= 0.5
+        # the upper entries are -Phi^{-1}(v): one ndtri call, then negate them
+        x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)),
+                          out=out[blk])
+        np.negative(x, out=x, where=~lower)
+        x *= q.model.sigma_p
+
+    _blocks._run_blocks(job, _blocks._row_blocks(flat.size, q.levels))
+    return out.reshape(w.shape + (q.levels,))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -16,6 +16,7 @@ import json
 import numpy as np
 from scipy import special, stats as scistats
 
+from . import _blocks
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, helper_values, sibling_points
 from .channel import AttackerSpec
@@ -96,22 +97,31 @@ def _uniforms(seed, start, size):
 
 
 def _simulate_chunk(cfg: SimConfig, start, size):
-    """One batch of (s, w, s_tilde, u_attack) samples, fully vectorized."""
+    """One batch of (s, w, s_tilde, u_attack) samples, fully vectorized.
+    The MAP step runs in row blocks (`_blocks`), each writing its own slice
+    of s_tilde."""
     q = cfg.quantizer
     model = cfg.model
     u = _uniforms(cfg.seed, start, size)
     x = model.sigma_p * special.ndtri(u[:, 0])
     s, w = helper_values(q, x)
     centers = sibling_points(q, w)                       # (size, N)
-    if model.sigma_n == 0:
-        # noiseless limit of the MAP rule: nearest sibling point
-        s_tilde = np.argmin(np.abs(x[:, None] - centers), axis=1)
-    else:
-        y = x + model.sigma_n * special.ndtri(u[:, 1])
+    s_tilde = np.empty(size, dtype=np.intp)
+
+    def job(blk):
+        if model.sigma_n == 0:
+            # noiseless limit of the MAP rule: nearest sibling point
+            s_tilde[blk] = np.argmin(np.abs(x[blk, None] - centers[blk]),
+                                     axis=1)
+            return
+        y = x[blk] + model.sigma_n * special.ndtri(u[blk, 1])
         # MAP estimate: argmax_t ln p_t - (y - x_t(w))^2 / (2 sigma_n^2)
         log_post = (np.log(q.probs)[None, :]
-                    - (y[:, None] - centers) ** 2 / (2.0 * model.sigma_n ** 2))
-        s_tilde = np.argmax(log_post, axis=1)
+                    - (y[:, None] - centers[blk]) ** 2
+                    / (2.0 * model.sigma_n ** 2))
+        s_tilde[blk] = np.argmax(log_post, axis=1)
+
+    _blocks._run_blocks(job, _blocks._row_blocks(size, q.levels))
     return s, w, s_tilde, u[:, 2]
 
 

@@ -11,8 +11,10 @@ The dense kernels are the band-free, unblocked, unfolded forms of the
 channel stack and of I(S;S~|W=w); the package's kernels match them to the
 bit except on mirror-folded stacks, where they match to rounding.  The
 two-call sibling points are the form the one-call kernel must match to the
-bit.  The knot quantizer is the plain knot-to-border map, without the
-mirror symmetry the optimizer imposes on its candidates.
+bit; the scalar sibling point reads one level of that kernel, with its
+arguments checked, for the helper-data round trips.  The knot quantizer is
+the plain knot-to-border map, without the mirror symmetry the optimizer
+imposes on its candidates.
 """
 
 import math
@@ -21,6 +23,7 @@ import numpy as np
 from scipy import special
 
 from pufsec.optimize import repair_knots
+from pufsec.stats import DomainError
 from pufsec.quantizer import InputQuantizer, _decision_borders, sibling_points
 
 
@@ -160,6 +163,15 @@ def oracle_channel(x, p, sigma_n):
     out = np.zeros((len(x), len(x)))
     out[:, list(labels)] = np.diff(special.ndtr(z), axis=1)
     return out
+
+
+def sibling_point(q, t, w):
+    """Point in interval t whose helper value is w, i.e. g_t^{-1}(w)."""
+    if not 0 <= t < q.levels:
+        raise DomainError(f"level index {t} out of range")
+    if not 0.0 <= w < 1.0:
+        raise DomainError(f"helper value must lie in [0,1), got {w!r}")
+    return float(sibling_points(q, w)[t])
 
 
 def two_call_sibling_points(q, w):

@@ -1,11 +1,7 @@
-import functools
 import multiprocessing
 import os
-import sys
 import threading
-import time
 import types
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,7 +13,7 @@ from pufsec.quantizer import (InputQuantizer, make_equidistant,
                               make_equiprobable, output_quantizer,
                               sibling_points)
 import pufsec
-from pufsec import bounds, channel, info, quantizer, stats
+from pufsec import _blocks, bounds, channel, info, quantizer, stats
 from pufsec.channel import (_PHI_ONE, _PHI_ZERO, ERASURE, AttackerSpec,
                             ChannelMatrix, _mirror_half, analog_extension,
                             averaged_channel, channel_given_w,
@@ -26,6 +22,8 @@ from pufsec.info import (_conditional_mi, _mi_per_node, entropy,
                          mutual_information)
 from pufsec.optimize import _symmetric_quantizer
 from pufsec.tables import equidistant_reference
+from blockpool import (pooled_crowded_inline, spy_public_calls,
+                       spy_threads)
 from oracles import (dense_mi_per_node, dense_per_w_channels, oracle_channel,
                      oracle_output_quantizer)
 
@@ -244,11 +242,6 @@ class TestMirrorFold:
         assert rows == [64]
 
 
-def _inline(job, blocks):
-    for blk in blocks:
-        job(blk)
-
-
 class TestNodePool:
     """per_w_channels and _mi_per_node run their node blocks on a shared
     thread pool (see DECISIONS.md, "Parallel node blocks").  Every block
@@ -263,20 +256,7 @@ class TestNodePool:
                   else _mi_per_node(mats, q.probs))
             return mats, mi
 
-        pooled = results()
-        # more threads than CPUs, switching between threads every 1 us
-        switch = sys.getswitchinterval()
-        threads = 4 * channel._THREADS
-        with ThreadPoolExecutor(threads) as pool:
-            monkeypatch.setattr(channel, "_POOL", pool)
-            monkeypatch.setattr(channel, "_THREADS", threads)
-            sys.setswitchinterval(1e-6)
-            try:
-                crowded = results()
-            finally:
-                sys.setswitchinterval(switch)
-        monkeypatch.setattr(channel, "_run_blocks", _inline)
-        inline = results()
+        pooled, crowded, inline = pooled_crowded_inline(monkeypatch, results)
         for got in (pooled, crowded):
             for a, b in zip(got, inline):
                 assert np.array_equal(a, b, equal_nan=True)
@@ -299,35 +279,13 @@ class TestNodePool:
     def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
         # the perfbench tracer keeps one span stack, which is not
         # thread-safe: no public quantizer or stats function may run in a job
-        public = {id(f): f for mod in (quantizer, stats)
-                  for name, f in vars(mod).items()
-                  if not name.startswith("_")
-                  and isinstance(f, types.FunctionType)
-                  and f.__module__ == mod.__name__}
-        calls = []
-
-        def spy(f):
-            @functools.wraps(f)
-            def wrapper(*args, **kwargs):
-                calls.append(threading.get_ident())
-                return f(*args, **kwargs)
-            return wrapper
-
-        for ns in (pufsec, quantizer, stats, channel, info, bounds):
-            for name, obj in list(vars(ns).items()):
-                if id(obj) in public:
-                    monkeypatch.setattr(ns, name, spy(obj))
+        calls = spy_public_calls(
+            monkeypatch, (pufsec, quantizer, stats, channel, info, bounds))
         main = threading.get_ident()
         workers = set()
-
-        def ndtr(z):
-            workers.add(threading.get_ident())
-            if threading.get_ident() == main:
-                time.sleep(1e-3)            # leave blocks for the pool
-            return special.ndtr(z)
-
+        ndtr = spy_threads(special.ndtr, workers)
         monkeypatch.setattr(channel, "special", types.SimpleNamespace(ndtr=ndtr))
-        monkeypatch.setattr(channel, "_THREADS", 2)  # a helper even on one CPU
+        monkeypatch.setattr(_blocks, "_THREADS", 2)  # a helper even on one CPU
         bounds.summarize_channel(make_equidistant(MODEL, 64, 20000.0 / 64),
                                  nodes=64)
         assert calls and set(calls) == {main}

@@ -1,5 +1,6 @@
-"""Package-level invariants: the cell tables the CLI prints stay byte for
-byte the recorded ones, and the package version is the released one.
+"""Package-level invariants: the cell tables and the Monte-Carlo reports
+the CLI prints stay byte for byte the recorded ones, and the package
+version is the released one.
 
 A deliberate change to a file under tests/golden/ is logged in CHANGES.md
 with the reason the numbers moved.
@@ -24,6 +25,21 @@ def test_cell_table_matches_golden(table_id):
                              catch_exceptions=False)
     assert res.exit_code == 0
     assert res.stdout_bytes == (GOLDEN / f"table_{table_id}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("golden,control", [
+    ("simulate_8.json", []),
+    ("simulate_8_center_distance.json",
+     ["--negative-control", "center-distance"])])
+def test_simulate_matches_golden(golden, control):
+    # the Monte-Carlo report: counts, matrix, W histograms, plug-in
+    # informations and per-level KS results of one fixed Philox stream
+    res = CliRunner().invoke(main, ["--seed", "7", "--format", "json",
+                                    "simulate", "--levels", "8", "--samples",
+                                    "200000", *control],
+                             catch_exceptions=False)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (GOLDEN / golden).read_bytes()
 
 
 def test_version_matches_pyproject():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
-from oracles import two_call_sibling_points
+from oracles import sibling_point, two_call_sibling_points
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import (InputQuantizer, helper_data, make_equidistant,
                               make_equiprobable, output_quantizer, reconstruct,
-                              sibling_point, sibling_points)
+                              sibling_points)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -124,6 +124,20 @@ class TestHelperData:
             for w in ws[:3]:
                 assert np.array_equal(sibling_points(q, w),
                                       two_call_sibling_points(q, w))
+
+    @pytest.mark.parametrize("shape", [(1,), (4095,), (4097,), (100_003,),
+                                       (3, 5001)])
+    def test_blocked_sibling_points_match_two_call_form(self, shape):
+        # at N = 16 a row block holds 4,096 rows: these are 1, 1, 2, 25 and
+        # 4 blocks, the last of a 2-D w
+        rng = np.random.default_rng(shape[-1])
+        ws = rng.uniform(0.0, 1.0, shape)
+        ws.flat[0] = 0.0
+        for q in (make_equiprobable(MODEL, 16),
+                  make_equidistant(MODEL, 16, 20000.0 / 16)):
+            got = sibling_points(q, ws)
+            assert got.shape == shape + (16,)
+            assert np.array_equal(got, two_call_sibling_points(q, ws))
 
     def test_invalid_inputs(self):
         q = make_equiprobable(MODEL, 4)

@@ -1,12 +1,23 @@
+import multiprocessing
+import os
+import threading
+import types
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from scipy import special
 
+import pufsec
+from pufsec import _blocks, quantizer, sim as sim_mod, stats
+from pufsec.cli import main
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.channel import AttackerSpec, averaged_channel
 from pufsec.sim import (SimConfig, attacker_observations, leakage_test,
                         run_simulation)
 from pufsec.info import conditional_mi_given_w, mutual_information
+from blockpool import pooled_crowded_inline, spy_public_calls, spy_threads
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -163,3 +174,85 @@ class TestAttackerObservations:
                         samples=1000, seed=1)
         with pytest.raises(DomainError):
             attacker_observations(cfg)
+
+
+class TestBlockPool:
+    """The MAP step of every sample chunk and the sibling points under it
+    run in row blocks on the shared pool (DECISIONS.md, "Parallel node
+    blocks").  Each block writes its own slice, so every count is the same
+    on any number of threads."""
+
+    @staticmethod
+    def outputs(n, sigma_n=129.0):
+        m = PufModel(2241.0, sigma_n)
+        # 20,000 samples are 3 blocks at N = 8 and 20 at N = 64
+        q = make_equidistant(m, n, 20000.0 / n)
+        cfgs = [SimConfig(m, q, samples=20_000, seed=9, attacker=att)
+                for att in (AttackerSpec("digital", p_d=0.18),
+                            AttackerSpec("analog", p_d=0.18, p_a=0.36))]
+        return [run_simulation(cfgs[0]).to_json(),
+                leakage_test(cfgs[0]),
+                leakage_test(cfgs[0], helper="center-distance"),
+                *(attacker_observations(c)["counts"] for c in cfgs)]
+
+    @pytest.mark.parametrize("n,sigma_n", [(8, 129.0), (64, 129.0),
+                                           (8, 0.0)])
+    def test_pool_matches_inline(self, monkeypatch, n, sigma_n):
+        pooled, crowded, inline = pooled_crowded_inline(
+            monkeypatch, lambda: self.outputs(n, sigma_n))
+        for got in (pooled, crowded):
+            assert got[:3] == inline[:3]
+            for a, b in zip(got[3:], inline[3:]):
+                assert np.array_equal(a, b)
+
+    def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
+        calls = spy_public_calls(monkeypatch,
+                                 (pufsec, quantizer, stats, sim_mod))
+        main_thread = threading.get_ident()
+        workers = set()
+        ndtri = spy_threads(special.ndtri, workers)
+        monkeypatch.setattr(sim_mod, "special",
+                            types.SimpleNamespace(ndtri=ndtri))
+        monkeypatch.setattr(_blocks, "_THREADS", 2)  # a helper even on one CPU
+        self.outputs(8)
+        assert calls and set(calls) == {main_thread}
+        assert len(workers) > 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_gets_its_own_pool(self):
+        cfg = SimConfig(MODEL, make_equiprobable(MODEL, 16), samples=20_000,
+                        seed=3)
+        report = run_simulation(cfg).to_json()   # the parent's pool runs
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(run_simulation, (cfg,)).get(timeout=60)
+        assert child.to_json() == report
+
+
+def test_dump_csv_walks_the_chunks(tmp_path, monkeypatch):
+    # the dump walks the same chunks as the simulation, so its memory is
+    # bounded by the chunk size and its rows do not depend on it
+    sizes = []
+    chunk = sim_mod._simulate_chunk
+
+    def spy(cfg, start, size):
+        sizes.append(size)
+        return chunk(cfg, start, size)
+
+    monkeypatch.setattr(sim_mod, "_simulate_chunk", spy)
+
+    def dump(name):
+        path = tmp_path / name
+        res = CliRunner().invoke(
+            main, ["--seed", "7", "simulate", "--levels", "8", "--samples",
+                   "20000", "--dump-csv", str(path)],
+            catch_exceptions=False)
+        assert res.exit_code == 0
+        return path.read_bytes()
+
+    ref = dump("one_chunk.csv")
+    assert 20_000 <= sim_mod._CHUNK
+    assert ref.count(b"\n") == 20_001
+    monkeypatch.setattr(sim_mod, "_CHUNK", 4097)
+    sizes.clear()
+    assert dump("five_chunks.csv") == ref
+    assert max(sizes) == 4097
