@@ -1,6 +1,6 @@
-"""Package-level invariants: the cell tables and the Monte-Carlo reports
-the CLI prints stay byte for byte the recorded ones, and the package
-version is the released one.
+"""Package-level invariants: the cell tables, the Monte-Carlo reports and
+the sample dump the CLI writes stay byte for byte the recorded ones, and
+the package version is the released one.
 
 A deliberate change to a file under tests/golden/ is logged in CHANGES.md
 with the reason the numbers moved.
@@ -40,6 +40,17 @@ def test_simulate_matches_golden(golden, control):
                              catch_exceptions=False)
     assert res.exit_code == 0
     assert res.stdout_bytes == (GOLDEN / golden).read_bytes()
+
+
+def test_dump_csv_matches_golden(tmp_path):
+    # the (S, W, S~) triples --dump-csv writes, row format included
+    path = tmp_path / "dump.csv"
+    res = CliRunner().invoke(main, ["--seed", "7", "simulate", "--levels",
+                                    "8", "--samples", "20000", "--dump-csv",
+                                    str(path)],
+                             catch_exceptions=False)
+    assert res.exit_code == 0
+    assert path.read_bytes() == (GOLDEN / "simulate_8_dump.csv").read_bytes()
 
 
 def test_version_matches_pyproject():
