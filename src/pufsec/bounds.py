@@ -22,10 +22,10 @@ import numpy as np
 
 from .stats import DomainError, PufModel, q_inverse
 from .quantizer import InputQuantizer
-# per_w_channels stays bound here although _conditional_mi makes the call:
+# per_w_channels stays bound here although _quadrature makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, averaged_channel, per_w_channels  # noqa: F401
-from .info import _conditional_mi, entropy, mutual_information
+from .channel import AttackerSpec, _quadrature, per_w_channels  # noqa: F401
+from .info import entropy, mutual_information
 
 LOG2_CAP_DEFAULT = 20000
 
@@ -72,7 +72,7 @@ class ChannelSummary:
 def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
                       nodes: int = 128) -> ChannelSummary:
     model = model or q.model
-    avg = averaged_channel(q, model, nodes=nodes)
+    avg, i_cond = _quadrature(q, model, nodes)
     probs = q.probs
     joint = probs[:, None] * avg.p
     joint = np.clip(joint, 0.0, None)
@@ -107,7 +107,7 @@ def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
         probs=probs, joint=joint,
         h_s=entropy(probs),
         i_avg=mutual_information(joint),
-        i_cond=_conditional_mi(q, model, nodes),
+        i_cond=i_cond,
         a2=a2, b2=b2, c2=c2, d2_per_s=d2,
         metadata=dict(avg.metadata),
     )

@@ -108,7 +108,9 @@ class _Group(_Command, click.Group):
 @click.option("--sigma-n", default=129.0, show_default=True,
               help="Reconstruction noise standard deviation.")
 @click.option("--nodes", default=128, show_default=True,
-              help="Quadrature nodes for helper-data averaging.")
+              help="Gauss-Legendre nodes for helper-data averaging; the "
+              "reported quadrature deltas compare against the nodes/2 "
+              "rule.")
 @click.option("--format", "fmt", default="markdown", show_default=True,
               type=click.Choice(["markdown", "csv", "json"]))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -151,7 +153,8 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     else:
         lo, hi = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
         record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
-    record["quadrature_delta"] = s.metadata.get("refinement_delta")
+    record["quadrature_delta"] = s.metadata["refinement_delta"]
+    record["quadrature_mi_delta"] = s.metadata["mi_refinement_delta"]
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -188,6 +191,7 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
     if attacker == "analog":
         record["p_a"] = p_a
     record["quadrature_delta"] = summary.metadata["refinement_delta"]
+    record["quadrature_mi_delta"] = summary.metadata["mi_refinement_delta"]
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -266,7 +270,8 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
               "security_bits": security, "converse_min_cells": conv,
               "gap": None if conv is None else n - conv,
               "verdict": "FEASIBLE" if feasible else "INFEASIBLE",
-              "quadrature_delta": summary.metadata["refinement_delta"]}
+              "quadrature_delta": summary.metadata["refinement_delta"],
+              "quadrature_mi_delta": summary.metadata["mi_refinement_delta"]}
     _emit(ctx, _render_record(ctx, record))
     if not feasible:
         sys.exit(1)
@@ -317,8 +322,8 @@ def _dump_samples(cfg, path, cap=1_000_000):
         for start in range(0, rows, sim._CHUNK):
             s, w, st, _ = sim._simulate_chunk(
                 cfg, start, min(sim._CHUNK, rows - start))
-            for a, b, c in zip(s, w, st):
-                fh.write(f"{a},{b:.6g},{c}\n")
+            fh.writelines(map("{},{:.6g},{}\n".format,
+                              s.tolist(), w.tolist(), st.tolist()))
 
 
 @main.command("optimize")

@@ -25,8 +25,9 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _conditional_mi makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, per_w_channels  # noqa: F401
-from .info import _conditional_mi, entropy
+from .channel import AttackerSpec, _conditional_mi
+from .channel import per_w_channels  # noqa: F401
+from .info import entropy
 from .bounds import _asymptotic_rate
 
 KNOT_MARGIN = 1e-6

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import threading
@@ -15,11 +16,11 @@ from pufsec.quantizer import (InputQuantizer, make_equidistant,
 import pufsec
 from pufsec import _blocks, bounds, channel, info, quantizer, stats
 from pufsec.channel import (_PHI_ONE, _PHI_ZERO, ERASURE, AttackerSpec,
-                            ChannelMatrix, _mirror_half, analog_extension,
-                            averaged_channel, channel_given_w,
-                            digital_extension, per_w_channels)
-from pufsec.info import (_conditional_mi, _mi_per_node, entropy,
-                         mutual_information)
+                            ChannelMatrix, _conditional_mi, _mi_per_node,
+                            _mirror_half, analog_extension, averaged_channel,
+                            channel_given_w, digital_extension,
+                            per_w_channels)
+from pufsec.info import entropy, mutual_information
 from pufsec.optimize import _symmetric_quantizer
 from pufsec.tables import equidistant_reference
 from blockpool import (pooled_crowded_inline, spy_public_calls,
@@ -329,6 +330,67 @@ class TestAveraging:
     def test_nodes_validation(self):
         with pytest.raises(DomainError):
             averaged_channel(make_equiprobable(MODEL, 4), nodes=8)
+
+
+class TestQuadrature:
+    """summarize_channel, averaged_channel and conditional_mi_given_w
+    share one routine: the `nodes`-node stack gives the averaged channel
+    and I(S;S~|W), the `nodes // 2`-node stack only their error estimate."""
+
+    @pytest.mark.parametrize("nodes", (16, 17, 128))
+    def test_one_stack_and_its_half(self, monkeypatch, nodes):
+        q = make_equiprobable(MODEL, 8)
+        calls = []
+        real = channel.per_w_channels
+
+        def spy(q, ws, model=None):
+            calls.append(ws)
+            return real(q, ws, model)
+
+        monkeypatch.setattr(channel, "per_w_channels", spy)
+        for f in (bounds.summarize_channel, averaged_channel,
+                  functools.partial(info.conditional_mi_given_w,
+                                    full_output=True)):
+            calls.clear()
+            f(q, nodes=nodes)
+            assert len(calls) == 2
+            for ws, k in zip(calls, (nodes, nodes // 2)):
+                assert np.array_equal(ws, unit_interval_rule(k)[0])
+
+    @staticmethod
+    def assert_summary_is_the_stack(q, nodes=128):
+        s = bounds.summarize_channel(q, nodes=nodes)
+
+        def averaged(k):
+            xs, wts = unit_interval_rule(k)
+            return np.tensordot(wts, per_w_channels(q, xs), axes=1)
+
+        p, p_half = averaged(nodes), averaged(nodes // 2)
+        assert np.array_equal(s.joint,
+                              np.clip(q.probs[:, None] * p, 0.0, None))
+        assert s.i_cond == _conditional_mi(q, q.model, nodes)
+        assert s.metadata["refinement_delta"] == np.max(np.abs(p - p_half))
+        assert s.metadata["mi_refinement_delta"] == abs(
+            s.i_cond - _conditional_mi(q, q.model, nodes // 2))
+        return s.metadata
+
+    @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
+    def test_table_summaries_are_the_stack_to_the_bit(self, strategy):
+        # only equidistant N = 256 is flagged, from the kinks where merging
+        # switches on or off (DECISIONS.md, "Quadrature error estimate from
+        # the half rule")
+        for levels in (2, 4, 8, 16, 32, 64, 128, 256):
+            meta = self.assert_summary_is_the_stack(
+                _table_quantizer(strategy, levels))
+            flagged = strategy == "equidistant" and levels == 256
+            assert meta["quadrature_warning"] == flagged
+            if not flagged:
+                assert meta["refinement_delta"] <= 1e-12
+                assert meta["mi_refinement_delta"] <= 1e-12
+
+    def test_optimizer_candidates_are_the_stack_to_the_bit(self):
+        for seed in range(6):
+            self.assert_summary_is_the_stack(_optimizer_candidate(seed))
 
 
 class TestAttackerSpec:

@@ -131,6 +131,8 @@ class TestCells:
 
 
 QUERIES = {
+    "rate": ["rate", "--attacker", "digital", "--pd", "0.18", "--levels",
+             "8"],
     "cells": ["cells", "--attacker", "digital", "--pd", "0.18", "--levels",
               "8", "--security", "128"],
     "audit": ["audit", "--cells", "459", "--levels", "8", "--pd", "0.18",
@@ -153,8 +155,11 @@ def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
     res = run(runner, "--nodes", "16", "--format", "json", *args)
     assert res.exit_code in (0, 1)
     assert [s.nodes for s in summaries] == [16]
-    assert (json.loads(res.output)["quadrature_delta"]
+    record = json.loads(res.output)
+    assert (record["quadrature_delta"]
             == summaries[0].metadata["refinement_delta"])
+    assert (record["quadrature_mi_delta"]
+            == summaries[0].metadata["mi_refinement_delta"])
 
 
 class TestTable:

@@ -101,6 +101,9 @@ class TestConditionalMI:
         val, info = conditional_mi_given_w(q, nodes=64, full_output=True)
         assert 0.0 < val < 2.0
         assert info["refinement_delta"] < 1e-9
+        # the delta compares the rule with its half
+        assert info["refinement_delta"] == abs(
+            val - conditional_mi_given_w(q, nodes=32))
 
     def test_more_levels_more_information(self):
         m = PufModel()
