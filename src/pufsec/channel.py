@@ -192,44 +192,73 @@ def _mi_per_node(mats, probs):
     return out
 
 
-def _rule(q: InputQuantizer, model: PufModel, nodes: int):
-    """The `nodes`-point Gauss-Legendre stack over the uniform helper
-    value, its weights, and I(S; S~ | W) integrated on it."""
+def _rule(q: InputQuantizer, model: PufModel, nodes: int,
+          channel: bool = True):
+    """(averaged channel P(S~|S), I(S; S~ | W)) on the `nodes`-point
+    Gauss-Legendre rule over the uniform helper value; the channel is None
+    unless `channel`.
+
+    On a mirror-symmetric quantizer (`_mirror_half`) only the leading half
+    of the stack is computed.  Node K-1-k repeats node k's information, so
+    for I(S;S~|W) the half carries the weights of both; its channel is
+    node k's with S and S~ both reversed, so the averaged channel adds the
+    reversed reduction of the mirrored weights.
+    """
     xs, wts = unit_interval_rule(nodes)
-    mats = per_w_channels(q, xs, model)
-    # on a mirror-folded stack node K-1-k repeats node k's information,
-    # so the leading half carries the weights of both
     half = _mirror_half(q, xs)
+    mats = per_w_channels(q, xs[:half], model)
+    mirror = wts[half:][::-1]           # weights of node K-1-k, k < K - half
     folded = wts[:half].copy()
-    folded[:nodes - half] += wts[half:][::-1]
-    return mats, wts, float(folded @ _mi_per_node(mats[:half], q.probs))
+    folded[:len(mirror)] += mirror
+    mi = float(folded @ _mi_per_node(mats, q.probs))
+    if not channel:
+        return None, mi
+    p = np.tensordot(wts[:half], mats, axes=1)
+    p += np.tensordot(mirror, mats[:len(mirror)], axes=1)[::-1, ::-1]
+    return p, mi
 
 
 def _conditional_mi(q: InputQuantizer, model: PufModel, nodes: int) -> float:
-    """I(S; S~ | W) in bits by `nodes`-point Gauss-Legendre quadrature over
-    the uniform helper value; the one implementation every rate uses."""
-    return _rule(q, model, nodes)[2]
+    """I(S; S~ | W) in bits on the one `nodes`-point rule: the optimizer's
+    objective, which must not switch rules between candidates."""
+    return _rule(q, model, nodes, channel=False)[1]
+
+
+# The error-controlled chain stops at the first rule within both
+# tolerances of its half rule (DECISIONS.md, "Error-controlled node count").
+_CHANNEL_TOL = 1e-10
+_MI_TOL = 1e-12
 
 
 def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
-    """(averaged channel P(S~|S), I(S; S~ | W)) from one `nodes`-node
-    stack, each checked against the same quantity on the `nodes // 2`
-    rule.  The differences, recorded in the channel's metadata, estimate
-    the error of the half rule, an upper estimate for the reported one."""
+    """(averaged channel P(S~|S), I(S; S~ | W)) by a doubling chain of
+    Gauss-Legendre rules that ends at `nodes`, e.g. 16, 32, 64, 128.
+
+    Each rule is checked against the one before it; the first rule k with
+    max|P_k - P_{k/2}| <= _CHANNEL_TOL and |I_k - I_{k/2}| <= _MI_TOL, or
+    else the `nodes` rule, is reported.  Below 32 nodes the chain is the
+    `nodes` rule alone, checked against the `nodes // 2` rule.  The two
+    differences, recorded in the channel's metadata with the node count
+    used, estimate the error of the half rule, an upper estimate for the
+    reported one.
+    """
     if nodes < 16:
         raise DomainError(f"nodes must be >= 16, got {nodes}")
-
-    def averaged(k):
-        mats, wts, mi = _rule(q, model, k)
-        return np.tensordot(wts, mats, axes=1), mi
-
+    chain = [nodes]
+    while chain[0] >= 32 or len(chain) == 1:
+        chain.insert(0, chain[0] // 2)
     # one stack at a time: each is dropped once it is reduced
-    p, mi = averaged(nodes)
-    p_half, mi_half = averaged(nodes // 2)
-    delta = float(np.max(np.abs(p - p_half)))
-    meta = {"nodes": nodes, "refinement_delta": delta,
+    p, mi = _rule(q, model, chain[0])
+    for k in chain[1:]:
+        p_half, mi_half = p, mi
+        p, mi = _rule(q, model, k)
+        delta = float(np.max(np.abs(p - p_half)))
+        mi_delta = abs(mi - mi_half)
+        if delta <= _CHANNEL_TOL and mi_delta <= _MI_TOL:
+            break
+    meta = {"nodes": nodes, "nodes_used": k, "refinement_delta": delta,
             "quadrature_warning": delta > 1e-6,
-            "mi_refinement_delta": abs(mi - mi_half)}
+            "mi_refinement_delta": mi_delta}
     labels = tuple(range(q.levels))
     return ChannelMatrix(p, labels, labels, metadata=meta), mi
 
@@ -237,7 +266,7 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
 def averaged_channel(q: InputQuantizer, model: PufModel | None = None,
                      nodes: int = 128) -> ChannelMatrix:
     """W-averaged channel P(S~|S) on the full label set, by Gauss-Legendre
-    quadrature over the uniform helper value."""
+    quadrature over the uniform helper value on at most `nodes` nodes."""
     return _quadrature(q, model or q.model, nodes)[0]
 
 

@@ -108,9 +108,10 @@ class _Group(_Command, click.Group):
 @click.option("--sigma-n", default=129.0, show_default=True,
               help="Reconstruction noise standard deviation.")
 @click.option("--nodes", default=128, show_default=True,
-              help="Gauss-Legendre nodes for helper-data averaging; the "
-              "reported quadrature deltas compare against the nodes/2 "
-              "rule.")
+              help="Cap on the Gauss-Legendre nodes for helper-data "
+              "averaging: rules double from 16 nodes up to this count and "
+              "the first that agrees with its half rule is used; the "
+              "reported quadrature deltas compare the two.")
 @click.option("--format", "fmt", default="markdown", show_default=True,
               type=click.Choice(["markdown", "csv", "json"]))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -155,6 +156,7 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
         record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
     record["quadrature_delta"] = s.metadata["refinement_delta"]
     record["quadrature_mi_delta"] = s.metadata["mi_refinement_delta"]
+    record["quadrature_nodes"] = s.metadata["nodes_used"]
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -192,6 +194,7 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
         record["p_a"] = p_a
     record["quadrature_delta"] = summary.metadata["refinement_delta"]
     record["quadrature_mi_delta"] = summary.metadata["mi_refinement_delta"]
+    record["quadrature_nodes"] = summary.metadata["nodes_used"]
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -271,7 +274,8 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
               "gap": None if conv is None else n - conv,
               "verdict": "FEASIBLE" if feasible else "INFEASIBLE",
               "quadrature_delta": summary.metadata["refinement_delta"],
-              "quadrature_mi_delta": summary.metadata["mi_refinement_delta"]}
+              "quadrature_mi_delta": summary.metadata["mi_refinement_delta"],
+              "quadrature_nodes": summary.metadata["nodes_used"]}
     _emit(ctx, _render_record(ctx, record))
     if not feasible:
         sys.exit(1)

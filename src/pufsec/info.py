@@ -11,7 +11,7 @@ import numpy as np
 
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer
-from .channel import _conditional_mi, _quadrature
+from .channel import _quadrature
 
 
 def _validate_pmf(p, tol=1e-12):
@@ -45,14 +45,13 @@ def mutual_information(joint) -> float:
 def conditional_mi_given_w(q: InputQuantizer, model: PufModel | None = None,
                            nodes: int = 128, full_output: bool = False):
     """I(S; S~ | W) in bits, integrating the per-helper-value mutual
-    information over the uniform helper distribution.  With full_output,
-    also its difference to the `nodes // 2`-point rule and whether that
-    exceeds 1e-6."""
-    model = model or q.model
-    if nodes < 16:
-        raise DomainError(f"nodes must be >= 16, got {nodes}")
+    information over the uniform helper distribution on at most `nodes`
+    Gauss-Legendre nodes.  With full_output, also the node count used, its
+    difference to the rule of half as many nodes and whether that exceeds
+    1e-6."""
+    avg, val = _quadrature(q, model or q.model, nodes)
     if not full_output:
-        return _conditional_mi(q, model, nodes)
-    avg, val = _quadrature(q, model, nodes)
+        return val
     delta = avg.metadata["mi_refinement_delta"]
-    return val, {"refinement_delta": delta, "quadrature_warning": delta > 1e-6}
+    return val, {"refinement_delta": delta, "quadrature_warning": delta > 1e-6,
+                 "nodes_used": avg.metadata["nodes_used"]}

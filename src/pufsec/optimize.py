@@ -27,7 +27,7 @@ from .quantizer import InputQuantizer, make_equidistant
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
 from .channel import AttackerSpec, _conditional_mi
 from .channel import per_w_channels  # noqa: F401
-from .info import entropy
+from .info import conditional_mi_given_w, entropy
 from .bounds import _asymptotic_rate
 
 KNOT_MARGIN = 1e-6
@@ -44,7 +44,7 @@ class OptimizeResult:
 
 
 def _rate(q: InputQuantizer, attacker: AttackerSpec, nodes: int) -> float:
-    """Asymptotic rate at `nodes` quadrature nodes, without the averaged
+    """Asymptotic rate on the one `nodes`-point rule, without the averaged
     channel and dispersion moments a ChannelSummary would also compute."""
     return _asymptotic_rate(attacker, _conditional_mi(q, q.model, nodes),
                             entropy(q.probs))
@@ -130,8 +130,10 @@ def optimize_quantizer(model: PufModel, levels: int,
     half of the knot vector is searched.  The two structured starts, the
     equiprobable and the best equidistant quantizer, are always scored;
     one Nelder-Mead from the better of them spends the rest of the budget.
-    The search is deterministic, its rate is never below the better
+    The search is deterministic, its objective is never below the better
     start's, and it makes at most max(budget, 2) objective evaluations.
+    The objective is the rate on the one `nodes`-point rule; the reported
+    rate is the public one, on at most `nodes` nodes.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -165,7 +167,10 @@ def optimize_quantizer(model: PufModel, levels: int,
         if res.fun < best_f:
             best_h, best_f = res.x, res.fun
     q = _symmetric_quantizer(model, best_h, levels)
-    # final rate at the search resolution; callers can re-score with more nodes
+    # the search scores on one fixed rule; the reported rate is re-scored
+    # on the error-controlled quadrature every public rate uses
+    rate = _asymptotic_rate(objective, conditional_mi_given_w(q, model, nodes),
+                            entropy(q.probs))
     return OptimizeResult(
-        quantizer=q, rate=max(-best_f, 0.0), evaluations=evals,
+        quantizer=q, rate=rate, evaluations=evals,
         budget_exhausted=evals >= budget, objective=objective)

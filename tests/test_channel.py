@@ -333,12 +333,19 @@ class TestAveraging:
 
 
 class TestQuadrature:
-    """summarize_channel, averaged_channel and conditional_mi_given_w
-    share one routine: the `nodes`-node stack gives the averaged channel
-    and I(S;S~|W), the `nodes // 2`-node stack only their error estimate."""
+    """summarize_channel, averaged_channel and conditional_mi_given_w share
+    one routine: a doubling chain of Gauss-Legendre rules, each computed on
+    its mirror half, that stops at the first rule within _CHANNEL_TOL and
+    _MI_TOL of its half rule (DECISIONS.md, "Error-controlled node
+    count")."""
 
-    @pytest.mark.parametrize("nodes", (16, 17, 128))
+    # equiprobable N = 8 converges at the first candidate rule
+    CHAINS = {16: (8, 16), 17: (8, 17), 128: (16, 32)}
+
+    @pytest.mark.parametrize("nodes", CHAINS)
     def test_one_stack_and_its_half(self, monkeypatch, nodes):
+        # each stack of the chain is computed on its mirror half only
+        chain = self.CHAINS[nodes]
         q = make_equiprobable(MODEL, 8)
         calls = []
         real = channel.per_w_channels
@@ -353,40 +360,56 @@ class TestQuadrature:
                                     full_output=True)):
             calls.clear()
             f(q, nodes=nodes)
-            assert len(calls) == 2
-            for ws, k in zip(calls, (nodes, nodes // 2)):
-                assert np.array_equal(ws, unit_interval_rule(k)[0])
+            assert len(calls) == len(chain)
+            for ws, k in zip(calls, chain):
+                # the computed half of the k-node rule, nothing more
+                xs = unit_interval_rule(k)[0]
+                assert np.array_equal(ws, xs[:(k + 1) // 2])
 
     @staticmethod
     def assert_summary_is_the_stack(q, nodes=128):
         s = bounds.summarize_channel(q, nodes=nodes)
-
-        def averaged(k):
-            xs, wts = unit_interval_rule(k)
-            return np.tensordot(wts, per_w_channels(q, xs), axes=1)
-
-        p, p_half = averaged(nodes), averaged(nodes // 2)
+        k = s.metadata["nodes_used"]
+        p, mi = channel._rule(q, q.model, k)
+        p_half, mi_half = channel._rule(q, q.model, k // 2)
         assert np.array_equal(s.joint,
                               np.clip(q.probs[:, None] * p, 0.0, None))
-        assert s.i_cond == _conditional_mi(q, q.model, nodes)
+        assert s.i_cond == mi == _conditional_mi(q, q.model, k)
         assert s.metadata["refinement_delta"] == np.max(np.abs(p - p_half))
-        assert s.metadata["mi_refinement_delta"] == abs(
-            s.i_cond - _conditional_mi(q, q.model, nodes // 2))
-        return s.metadata
+        assert s.metadata["mi_refinement_delta"] == abs(mi - mi_half)
+        # the folded reduction is the full stack's, up to rounding
+        xs, wts = unit_interval_rule(k)
+        full = np.tensordot(wts, per_w_channels(q, xs), axes=1)
+        assert np.max(np.abs(p - full)) <= 1e-15
+        # k is the first rule of the chain that meets both tolerances
+        converged = (s.metadata["refinement_delta"] <= channel._CHANNEL_TOL
+                     and s.metadata["mi_refinement_delta"] <= channel._MI_TOL)
+        assert converged or k == nodes
+        j = k // 2
+        while j >= 32:      # the earlier candidates in the chain
+            pj, mij = channel._rule(q, q.model, j)
+            pj2, mij2 = channel._rule(q, q.model, j // 2)
+            assert (np.max(np.abs(pj - pj2)) > channel._CHANNEL_TOL
+                    or abs(mij - mij2) > channel._MI_TOL)
+            j //= 2
+        return s
 
     @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
     def test_table_summaries_are_the_stack_to_the_bit(self, strategy):
-        # only equidistant N = 256 is flagged, from the kinks where merging
-        # switches on or off (DECISIONS.md, "Quadrature error estimate from
-        # the half rule")
+        # only equidistant N = 256 is flagged and runs the whole chain, from
+        # the kinks where merging switches on or off; every other table
+        # quantizer converges at the first candidate (DECISIONS.md,
+        # "Error-controlled node count")
         for levels in (2, 4, 8, 16, 32, 64, 128, 256):
-            meta = self.assert_summary_is_the_stack(
-                _table_quantizer(strategy, levels))
+            q = _table_quantizer(strategy, levels)
+            s = self.assert_summary_is_the_stack(q)
             flagged = strategy == "equidistant" and levels == 256
-            assert meta["quadrature_warning"] == flagged
-            if not flagged:
-                assert meta["refinement_delta"] <= 1e-12
-                assert meta["mi_refinement_delta"] <= 1e-12
+            assert s.metadata["quadrature_warning"] == flagged
+            assert s.metadata["nodes_used"] == (128 if flagged else 32)
+            # second route: the single 128-node rule the chain replaced
+            p, mi = channel._rule(q, q.model, 128)
+            assert abs(s.i_cond - mi) <= 1e-12
+            assert np.max(np.abs(s.joint - q.probs[:, None] * p)) <= 1e-12
 
     def test_optimizer_candidates_are_the_stack_to_the_bit(self):
         for seed in range(6):

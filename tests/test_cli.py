@@ -160,6 +160,19 @@ def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
             == summaries[0].metadata["refinement_delta"])
     assert (record["quadrature_mi_delta"]
             == summaries[0].metadata["mi_refinement_delta"])
+    assert record["quadrature_nodes"] == summaries[0].metadata["nodes_used"]
+
+
+@pytest.mark.parametrize("args,nodes", [
+    *((a, 32) for a in QUERIES.values()),
+    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 128),
+], ids=[*QUERIES, "rate-flagged"])
+def test_quadrature_nodes_reported(runner, args, nodes):
+    # equiprobable N = 8 converges at 32 of the default 128 nodes;
+    # equidistant N = 256 never does and runs the whole chain
+    res = run(runner, "--format", "json", *args)
+    assert res.exit_code in (0, 1)
+    assert json.loads(res.output)["quadrature_nodes"] == nodes
 
 
 class TestTable:

@@ -4,6 +4,7 @@ import pytest
 from oracles import (analog_triple, digital_triple, erasure_joint, oracle_v1,
                      oracle_vc, oracle_vc_prime, random_markov)
 from pufsec import bounds
+from pufsec.channel import _rule
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.info import conditional_mi_given_w, entropy, mutual_information
@@ -101,9 +102,14 @@ class TestConditionalMI:
         val, info = conditional_mi_given_w(q, nodes=64, full_output=True)
         assert 0.0 < val < 2.0
         assert info["refinement_delta"] < 1e-9
-        # the delta compares the rule with its half
+        # the chain stops at 32 of the 64 nodes; the value is that rule's,
+        # on both paths, and the delta compares it with its half
+        k = info["nodes_used"]
+        assert k == 32
+        assert val == _rule(q, q.model, k)[1]
+        assert val == conditional_mi_given_w(q, nodes=64)
         assert info["refinement_delta"] == abs(
-            val - conditional_mi_given_w(q, nodes=32))
+            val - _rule(q, q.model, k // 2)[1])
 
     def test_more_levels_more_information(self):
         m = PufModel()
