@@ -53,8 +53,9 @@ def _quantizer(ctx, levels, strategy, attacker=None, step=None):
     if strategy == "equiprobable":
         return make_equiprobable(model, levels)
     if strategy == "equidistant":
-        return make_equidistant(model, levels,
-                                step or tables.FIXED_RANGE / levels)
+        return make_equidistant(
+            model, levels,
+            step if step is not None else tables.FIXED_RANGE / levels)
     if attacker is None:
         _fail("--strategy optimized needs an attacker objective")
     return tables.optimized_quantizer(model, levels, attacker,

@@ -18,7 +18,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import optimize as sciopt
 from scipy import special
 
 from .stats import DomainError, PufModel
@@ -76,6 +75,8 @@ def best_equidistant_step(model: PufModel, levels: int,
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
+    # local: only the optimizer needs scipy.optimize, which is slow to import
+    from scipy import optimize as sciopt
 
     def score(log_step):
         try:
@@ -139,6 +140,9 @@ def optimize_quantizer(model: PufModel, levels: int,
         raise DomainError(f"levels must be >= 2, got {levels}")
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
+    # local: only the optimizer needs scipy.optimize, which is slow to import
+    from scipy import optimize as sciopt
+
     evals = 0
 
     def neg_rate(h):

@@ -148,10 +148,10 @@ def helper_values(q: InputQuantizer, x: np.ndarray):
     [0, 1).  A point exactly on a border belongs to the upper interval.
     """
     t = np.searchsorted(q.inner_borders, x, side="right")
-    z = x / q.model.sigma_p
-    w = np.where(x <= 0,
-                 (special.ndtr(z) - q.cdf[t]) / q.probs[t],
-                 (q.sf[t] - special.ndtr(-z)) / q.probs[t])
+    # one ndtr call: -|z| is z on the lower side (Phi(z)) and -z on the
+    # upper side (1 - Phi(z))
+    p = special.ndtr(-np.abs(x / q.model.sigma_p))
+    w = np.where(x <= 0, p - q.cdf[t], q.sf[t] - p) / q.probs[t]
     return t, np.clip(w, 0.0, np.nextafter(1.0, 0.0))
 
 

@@ -14,7 +14,7 @@ import dataclasses
 import json
 
 import numpy as np
-from scipy import special, stats as scistats
+from scipy import special
 
 from . import _blocks
 from .stats import DomainError, PufModel
@@ -42,6 +42,9 @@ class SimConfig:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
         if self.w_bins < 2:
             raise DomainError(f"w_bins must be >= 2, got {self.w_bins}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if self.quantizer.model != self.model:
             raise DomainError("the quantizer was built for another PufModel")
 
@@ -177,6 +180,8 @@ def leakage_test(cfg: SimConfig, *, helper: str = "zero-leakage") -> dict:
     """
     if helper not in ("zero-leakage", "center-distance"):
         raise DomainError(f"unknown helper scheme {helper!r}")
+    # local: scipy.stats costs ~0.85 s to import and only this test needs it
+    from scipy import stats as scistats
     q = cfg.quantizer
     per_level: dict[int, list] = {t: [] for t in range(q.levels)}
     done = 0

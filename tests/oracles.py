@@ -10,11 +10,11 @@ the second route for the vectorized decision borders in pufsec.quantizer.
 The dense kernels are the band-free, unblocked, unfolded forms of the
 channel stack and of I(S;S~|W=w); the package's kernels match them to the
 bit except on mirror-folded stacks, where they match to rounding.  The
-two-call sibling points are the form the one-call kernel must match to the
-bit; the scalar sibling point reads one level of that kernel, with its
-arguments checked, for the helper-data round trips.  The knot quantizer is
-the plain knot-to-border map, without the mirror symmetry the optimizer
-imposes on its candidates.
+two-call sibling points and helper values are the forms the one-call
+kernels must match to the bit; the scalar sibling point reads one level of
+the sibling-point kernel, with its arguments checked, for the helper-data
+round trips.  The knot quantizer is the plain knot-to-border map, without
+the mirror symmetry the optimizer imposes on its candidates.
 """
 
 import math
@@ -185,6 +185,17 @@ def two_call_sibling_points(q, w):
                  special.ndtri(np.where(lower, u, 0.5)),
                  -special.ndtri(np.where(lower, 0.5, np.clip(v, 0.0, 1.0))))
     return q.model.sigma_p * x
+
+
+def two_call_helper_values(q, x):
+    """Interval indices and helper values with Phi called on z for the
+    lower side and on -z for the upper side, both on every point."""
+    t = np.searchsorted(q.inner_borders, x, side="right")
+    z = x / q.model.sigma_p
+    w = np.where(x <= 0,
+                 (special.ndtr(z) - q.cdf[t]) / q.probs[t],
+                 (q.sf[t] - special.ndtr(-z)) / q.probs[t])
+    return t, np.clip(w, 0.0, np.nextafter(1.0, 0.0))
 
 
 def dense_per_w_channels(q, ws):

@@ -93,6 +93,17 @@ DOMAIN_ERRORS = {
     "cells-cap-negative": ["cells", "--attacker", "digital", "--pd", "0.18",
                            "--levels", "4", "--security", "128", "--cap",
                            "-5"],
+    # --step 0 is an error, not the default step
+    "rate-step-zero": ["rate", "--attacker", "digital", "--pd", "0.18",
+                       *EQUIDISTANT, "--step", "0"],
+    "cells-step-zero": ["cells", "--attacker", "digital", "--pd", "0.18",
+                        "--security", "128", *EQUIDISTANT, "--step", "0"],
+    "simulate-step-zero": ["simulate", "--samples", "1000", *EQUIDISTANT,
+                           "--step", "0"],
+    "simulate-seed": ["simulate", "--levels", "8", "--samples", "1000",
+                      "--seed", "-1"],
+    "global-seed": ["--seed", "-1", "simulate", "--levels", "8",
+                    "--samples", "1000"],
 }
 
 

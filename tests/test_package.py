@@ -1,11 +1,16 @@
 """Package-level invariants: the cell tables, the Monte-Carlo reports and
-the sample dump the CLI writes stay byte for byte the recorded ones, and
-the package version is the released one.
+the sample dump the CLI writes stay byte for byte the recorded ones, the
+package version is the released one, and each command loads only the SciPy
+subpackages it uses.
 
 A deliberate change to a file under tests/golden/ is logged in CHANGES.md
 with the reason the numbers moved.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +62,40 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     meta = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert pufsec.__version__ == meta["project"]["version"]
+
+
+HEAVY = ("scipy.stats", "scipy.optimize")
+LOAD_PROBE = """
+import json, sys
+from click.testing import CliRunner
+from pufsec.cli import main
+args = json.loads(sys.argv[1])
+if args:
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 0, res.output
+print(json.dumps([m for m in {heavy!r} if m in sys.modules]))
+""".format(heavy=HEAVY)
+
+
+@pytest.mark.parametrize("args,loads,avoids", [
+    ([], [], HEAVY),
+    (["cells", "--attacker", "digital", "--pd", "0.18", "--levels", "8",
+      "--security", "128"], [], HEAVY),
+    (["--format", "csv", "table", "--id", "3"], [], HEAVY),
+    # scipy.stats itself imports scipy.optimize
+    (["simulate", "--levels", "4", "--samples", "2000"], ["scipy.stats"], []),
+    (["optimize", "--attacker", "digital", "--pd", "0.18", "--levels", "3",
+      "--budget", "10"], ["scipy.optimize"], ["scipy.stats"]),
+], ids=["import", "cells", "table-3", "simulate", "optimize"])
+def test_commands_load_only_what_they_use(args, loads, avoids):
+    # a fresh interpreter per command: importing scipy.stats or
+    # scipy.optimize costs most of a cold start, so only the commands that
+    # call into them may load them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", LOAD_PROBE, json.dumps(args)],
+                         env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert loaded.issuperset(loads)
+    assert loaded.isdisjoint(avoids)

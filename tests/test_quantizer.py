@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
-from oracles import sibling_point, two_call_sibling_points
+from oracles import (sibling_point, two_call_helper_values,
+                     two_call_sibling_points)
 from pufsec.stats import DomainError, PufModel
-from pufsec.quantizer import (InputQuantizer, helper_data, make_equidistant,
-                              make_equiprobable, output_quantizer, reconstruct,
-                              sibling_points)
+from pufsec.quantizer import (InputQuantizer, helper_data, helper_values,
+                              make_equidistant, make_equiprobable,
+                              output_quantizer, reconstruct, sibling_points)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -91,6 +92,26 @@ class TestHelperData:
         ws = [helper_data(q, x)[1] for x in xs]
         stat = scistats.kstest(ws, "uniform").statistic
         assert stat < 0.01
+
+    def test_helper_values_match_two_call_form(self):
+        # one Phi call on -|z| gives the two-call form's helper values to the
+        # bit: at both zeros, on every border, one ulp either side of it, at
+        # +-38 sigma_P and on random points
+        rng = np.random.default_rng(7)
+        inner = np.unique(rng.uniform(-8.0, 8.0, 40))
+        for q in (make_equiprobable(MODEL, 16),
+                  make_equidistant(MODEL, 256, 20000.0 / 256),
+                  InputQuantizer.from_borders(MODEL, MODEL.sigma_p * inner)):
+            b = q.inner_borders
+            x = np.concatenate((
+                [0.0, -0.0, 38 * MODEL.sigma_p, -38 * MODEL.sigma_p],
+                b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                rng.normal(0.0, MODEL.sigma_p, 2000)))
+            t, w = helper_values(q, x)
+            t2, w2 = two_call_helper_values(q, x)
+            assert np.array_equal(t, t2)
+            assert np.array_equal(w, w2)
+            assert np.array_equal(np.signbit(w), np.signbit(w2))
 
     def test_sibling_points_vectorized_matches_scalar(self):
         q = make_equidistant(MODEL, 8, 2500.0)

@@ -104,6 +104,12 @@ class TestPipeline:
         with pytest.raises(DomainError):
             SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
                       seed=1, w_bins=1)
+        for seed in (-1, 1.5):
+            with pytest.raises(DomainError):
+                SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
+                          seed=seed)
+        SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
+                  seed=np.uint32(7))
 
     def test_quantizer_for_another_model_rejected(self):
         # X would be drawn with one sigma_p and quantized with another
