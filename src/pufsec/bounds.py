@@ -358,17 +358,6 @@ class BoundQuery:
         return -math.log2(self.delta)
 
 
-@dataclasses.dataclass(frozen=True)
-class BoundResult:
-    """Rates and/or cell counts answering a BoundQuery."""
-
-    rate_lower: float | None = None
-    rate_upper: float | None = None
-    cells_ach: int | None = None
-    cells_conv: int | None = None
-    diagnostics: dict = dataclasses.field(default_factory=dict)
-
-
 def min_cells(query: BoundQuery, direction: str,
               cap: int = LOG2_CAP_DEFAULT, *,
               summary: ChannelSummary | None = None,
@@ -404,25 +393,3 @@ def min_cells(query: BoundQuery, direction: str,
         else:
             lo = mid + 1
     return hi
-
-
-def evaluate(query: BoundQuery, cap: int = LOG2_CAP_DEFAULT, *,
-             nodes: int = 128) -> BoundResult:
-    """Full answer to a query: finite rates at query.n (when given) and
-    minimum cell counts in both directions."""
-    summary = summarize_channel(query.quantizer, nodes=nodes)
-    rate_lower = rate_upper = None
-    if query.n is not None:
-        rate_lower, rate_upper = (
-            _rate_at(*_rate_terms(query.attacker, direction, summary,
-                                  query.epsilon, query.delta,
-                                  query.security_bits), query.n)
-            for direction in ("achievability", "converse"))
-    return BoundResult(
-        rate_lower=rate_lower,
-        rate_upper=rate_upper,
-        cells_ach=min_cells(query, "achievability", cap, summary=summary),
-        cells_conv=min_cells(query, "converse", cap, summary=summary),
-        diagnostics=dict(summary.metadata,
-                         i_cond=summary.i_cond, i_avg=summary.i_avg),
-    )

@@ -1,11 +1,11 @@
-"""Finite channel matrices for the legitimate reconstruction path and for
-the digital / analog tamper attackers.
+"""Channel matrices of the legitimate reconstruction path.
 
 The legitimate channel P(S~ | S, W=w) follows from the helper-data-shifted
-output quantizer and the Gaussian reconstruction noise.  Attacker channels
-are erasure extensions of it: the digital attacker sees S~ through an
-erasure channel with probability p_d, the analog attacker additionally
-reads the exact secret on cells that survive a larger erasure fraction p_a.
+MAP decision borders and the Gaussian reconstruction noise.  The digital
+attacker sees S~ through an erasure channel with probability p_d, the analog
+attacker additionally reads the exact secret on cells that survive a larger
+erasure fraction p_a; those views enter the rates only through the moments
+of the averaged channel (`pufsec.bounds`), so no attacker matrix is built.
 
 Gauss-Legendre quadrature over the uniform helper value turns the
 per-helper-value channels into the averaged channel P(S~|S) and the
@@ -15,17 +15,13 @@ conditional mutual information I(S; S~ | W).
 from __future__ import annotations
 
 import dataclasses
-import io
 
 import numpy as np
 from scipy import special
 
 from . import _blocks
 from .stats import DomainError, PufModel, unit_interval_rule
-from .quantizer import (InputQuantizer, _decision_borders, output_quantizer,
-                        sibling_points)
-
-ERASURE = "E"
+from .quantizer import InputQuantizer, _decision_borders, sibling_points
 
 # scipy's ndtr returns exactly 1.0 from z = 8.29237 up and exactly 0.0 from
 # z = -37.677 down, so outside [_PHI_ZERO, _PHI_ONE] it is not evaluated and
@@ -39,8 +35,6 @@ class ChannelMatrix:
     """Row-stochastic matrix P(output | input) over finite alphabets."""
 
     p: np.ndarray
-    input_labels: tuple
-    output_labels: tuple
     metadata: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
@@ -53,23 +47,6 @@ class ChannelMatrix:
             raise DomainError("channel matrix has negative entries")
         if np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-9:
             raise DomainError("channel matrix rows must sum to 1")
-        if m.shape != (len(self.input_labels), len(self.output_labels)):
-            raise DomainError("label lengths do not match matrix shape")
-
-    @property
-    def inputs(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def outputs(self) -> int:
-        return self.p.shape[1]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("input," + ",".join(str(o) for o in self.output_labels) + "\n")
-        for lab, row in zip(self.input_labels, self.p):
-            buf.write(str(lab) + "," + ",".join(repr(v) for v in row) + "\n")
-        return buf.getvalue()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,16 +67,6 @@ class AttackerSpec:
             if self.p_a is None or not self.p_d <= self.p_a <= 1.0:
                 raise DomainError(
                     f"analog attacker needs p_d <= p_a <= 1, got p_a={self.p_a}")
-
-
-def channel_given_w(q: InputQuantizer, w: float,
-                    model: PufModel | None = None) -> ChannelMatrix:
-    """P(S~ = label | S = t, W = w) over the merged output alphabet."""
-    model = model or q.model
-    oq = output_quantizer(q, w, model)
-    p = per_w_channels(q, [w], model)[0][:, list(oq.labels)]
-    return ChannelMatrix(p, tuple(range(q.levels)), oq.labels,
-                         metadata={"helper_w": float(w)})
 
 
 def _mirror_half(q: InputQuantizer, ws: np.ndarray) -> int:
@@ -259,8 +226,7 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
     meta = {"nodes": nodes, "nodes_used": k, "refinement_delta": delta,
             "quadrature_warning": delta > 1e-6,
             "mi_refinement_delta": mi_delta}
-    labels = tuple(range(q.levels))
-    return ChannelMatrix(p, labels, labels, metadata=meta), mi
+    return ChannelMatrix(p, metadata=meta), mi
 
 
 def averaged_channel(q: InputQuantizer, model: PufModel | None = None,
@@ -268,42 +234,3 @@ def averaged_channel(q: InputQuantizer, model: PufModel | None = None,
     """W-averaged channel P(S~|S) on the full label set, by Gauss-Legendre
     quadrature over the uniform helper value on at most `nodes` nodes."""
     return _quadrature(q, model or q.model, nodes)[0]
-
-
-def digital_extension(base: ChannelMatrix, p_d: float) -> ChannelMatrix:
-    """Pass the channel output through an erasure channel EC(p_d)."""
-    AttackerSpec("digital", p_d=p_d)
-    p = np.hstack([(1.0 - p_d) * base.p,
-                   np.full((base.inputs, 1), p_d)])
-    return ChannelMatrix(p, base.input_labels, base.output_labels + (ERASURE,),
-                         metadata={"p_d": p_d})
-
-
-def analog_extension(base: ChannelMatrix, q: InputQuantizer,
-                     p_d: float, p_a: float) -> ChannelMatrix:
-    """Joint attacker channel S -> (S~_d, S~_a).
-
-    Outcomes per cell: both erased with probability p_d; digital value seen
-    but analog erased with probability (p_a - p_d); otherwise the analog
-    reading recovers the enrolled secret exactly.
-    """
-    AttackerSpec("analog", p_d=p_d, p_a=p_a)
-    if base.inputs != q.levels:
-        raise DomainError("channel inputs do not match quantizer levels")
-    n = base.inputs
-    m = base.outputs
-    digital_syms = list(base.output_labels) + [ERASURE]
-    analog_syms = list(base.input_labels) + [ERASURE]
-    out_labels = tuple((d, a) for d in digital_syms for a in analog_syms)
-    p = np.zeros((n, (m + 1) * (n + 1)))
-
-    def col(d_idx, a_idx):
-        return d_idx * (n + 1) + a_idx
-
-    for s in range(n):
-        p[s, col(m, n)] = p_d                                  # (E, E)
-        for j in range(m):
-            p[s, col(j, n)] = (p_a - p_d) * base.p[s, j]       # (s~, E)
-            p[s, col(j, s)] = (1.0 - p_a) * base.p[s, j]       # (s~, s)
-    return ChannelMatrix(p, base.input_labels, out_labels,
-                         metadata={"p_d": p_d, "p_a": p_a})

@@ -22,11 +22,14 @@ def _fail(msg: str):
 
 
 def _emit(ctx, text: str):
+    """Print text, newline-terminated, and write the same bytes to --out."""
+    if not text.endswith("\n"):
+        text += "\n"
     out = ctx.obj["out"]
     if out:
         with open(out, "w") as fh:
             fh.write(text)
-    click.echo(text, nl=not text.endswith("\n"))
+    click.echo(text, nl=False)
 
 
 def _fmt(value, fmt: str) -> str:
@@ -68,6 +71,15 @@ def _attacker(kind, p_d, p_a):
     if p_a is None:
         _fail("--pa is required for the analog attacker")
     return AttackerSpec("analog", p_d=p_d, p_a=p_a)
+
+
+def _quadrature_fields(summary) -> dict:
+    """Record fields of a channel summary's quadrature diagnostics."""
+    m = summary.metadata
+    return {"quadrature_delta": m["refinement_delta"],
+            "quadrature_mi_delta": m["mi_refinement_delta"],
+            "quadrature_nodes": m["nodes_used"],
+            "quadrature_warning": m["quadrature_warning"]}
 
 
 def _render_record(ctx, record: dict) -> str:
@@ -155,9 +167,7 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     else:
         lo, hi = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
         record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
-    record["quadrature_delta"] = s.metadata["refinement_delta"]
-    record["quadrature_mi_delta"] = s.metadata["mi_refinement_delta"]
-    record["quadrature_nodes"] = s.metadata["nodes_used"]
+    record.update(_quadrature_fields(s))
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -193,9 +203,7 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
               "cells_ach": ach, "cells_conv": conv}
     if attacker == "analog":
         record["p_a"] = p_a
-    record["quadrature_delta"] = summary.metadata["refinement_delta"]
-    record["quadrature_mi_delta"] = summary.metadata["mi_refinement_delta"]
-    record["quadrature_nodes"] = summary.metadata["nodes_used"]
+    record.update(_quadrature_fields(summary))
     _emit(ctx, _render_record(ctx, record))
 
 
@@ -274,9 +282,7 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
               "security_bits": security, "converse_min_cells": conv,
               "gap": None if conv is None else n - conv,
               "verdict": "FEASIBLE" if feasible else "INFEASIBLE",
-              "quadrature_delta": summary.metadata["refinement_delta"],
-              "quadrature_mi_delta": summary.metadata["mi_refinement_delta"],
-              "quadrature_nodes": summary.metadata["nodes_used"]}
+              **_quadrature_fields(summary)}
     _emit(ctx, _render_record(ctx, record))
     if not feasible:
         sys.exit(1)

@@ -1,5 +1,4 @@
-"""Discrete information measures and the conditional mutual information
-I(S; S~ | W) of the helper-data channel.
+"""Discrete information measures: entropy and mutual information.
 
 All logarithms are base 2; every quantity below is in bits.  The zero-mass
 convention 0*log(0) = 0 applies throughout.
@@ -9,9 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stats import DomainError, PufModel
-from .quantizer import InputQuantizer
-from .channel import _quadrature
+from .stats import DomainError
 
 
 def _validate_pmf(p, tol=1e-12):
@@ -40,18 +37,3 @@ def mutual_information(joint) -> float:
     nz = j > 0
     ratio = j[nz] / np.outer(px, py)[nz]
     return max(float(j[nz] @ np.log2(ratio)), 0.0)
-
-
-def conditional_mi_given_w(q: InputQuantizer, model: PufModel | None = None,
-                           nodes: int = 128, full_output: bool = False):
-    """I(S; S~ | W) in bits, integrating the per-helper-value mutual
-    information over the uniform helper distribution on at most `nodes`
-    Gauss-Legendre nodes.  With full_output, also the node count used, its
-    difference to the rule of half as many nodes and whether that exceeds
-    1e-6."""
-    avg, val = _quadrature(q, model or q.model, nodes)
-    if not full_output:
-        return val
-    delta = avg.metadata["mi_refinement_delta"]
-    return val, {"refinement_delta": delta, "quadrature_warning": delta > 1e-6,
-                 "nodes_used": avg.metadata["nodes_used"]}

@@ -24,9 +24,9 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _conditional_mi makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _conditional_mi
+from .channel import AttackerSpec, _conditional_mi, _quadrature
 from .channel import per_w_channels  # noqa: F401
-from .info import conditional_mi_given_w, entropy
+from .info import entropy
 from .bounds import _asymptotic_rate
 
 KNOT_MARGIN = 1e-6
@@ -173,7 +173,7 @@ def optimize_quantizer(model: PufModel, levels: int,
     q = _symmetric_quantizer(model, best_h, levels)
     # the search scores on one fixed rule; the reported rate is re-scored
     # on the error-controlled quadrature every public rate uses
-    rate = _asymptotic_rate(objective, conditional_mi_given_w(q, model, nodes),
+    rate = _asymptotic_rate(objective, _quadrature(q, model, nodes)[1],
                             entropy(q.probs))
     return OptimizeResult(
         quantizer=q, rate=rate, evaluations=evals,

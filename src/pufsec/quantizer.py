@@ -1,5 +1,5 @@
-"""Input quantizers, zero-leakage helper data, and helper-data-dependent
-output quantizers with dominated-level merging.
+"""Input quantizers, zero-leakage helper data, sibling points, and the
+helper-data-dependent MAP decision borders with dominated-level merging.
 
 Helper data for a point x in quantization interval A_t is the fraction of
 the interval's probability mass to the left of x.  That makes W uniform on
@@ -12,7 +12,6 @@ the tails stay usable.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -83,20 +82,6 @@ class InputQuantizer:
             d["step"] = float(self.step)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict, model: PufModel | None = None):
-        if model is None:
-            model = PufModel(d["sigma_p"], d["sigma_n"])
-        return cls.from_borders(model, d["borders"], kind=d.get("type", "custom"),
-                                step=d.get("step"))
-
-    @classmethod
-    def from_json(cls, s: str, model: PufModel | None = None):
-        return cls.from_dict(json.loads(s), model=model)
-
 
 def _interval_probs(borders, cdf, sf):
     # Difference on whichever side keeps both endpoints small.
@@ -155,20 +140,6 @@ def helper_values(q: InputQuantizer, x: np.ndarray):
     return t, np.clip(w, 0.0, np.nextafter(1.0, 0.0))
 
 
-def helper_data(q: InputQuantizer, x: float):
-    """Quantize x and compute its zero-leakage helper value.
-
-    Returns (t, w) with t the interval index and w in [0,1) the fraction
-    of interval mass left of x.  A point exactly on a border belongs to
-    the upper interval (w = 0 there).
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    t, w = helper_values(q, np.float64(x))
-    return int(t), float(w)
-
-
 def sibling_points(q: InputQuantizer, w) -> np.ndarray:
     """g_t^{-1}(w) for every level t; w may be a scalar or an array
     (result shape (..., N)).  The rows run in blocks (`_blocks`), each
@@ -190,23 +161,6 @@ def sibling_points(q: InputQuantizer, w) -> np.ndarray:
 
     _blocks._run_blocks(job, _blocks._row_blocks(flat.size, q.levels))
     return out.reshape(w.shape + (q.levels,))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class OutputQuantizer:
-    """Decision intervals on the reconstruction axis for one helper value.
-
-    labels is the strictly increasing subsequence of input levels that
-    survive merging; borders has length len(labels)+1 with +-inf ends.
-    """
-
-    borders: np.ndarray
-    labels: tuple
-    helper_w: float
-
-    @property
-    def inner_borders(self) -> np.ndarray:
-        return self.borders[1:-1]
 
 
 def _decision_borders(q: InputQuantizer, x: np.ndarray,
@@ -237,28 +191,3 @@ def _decision_borders(q: InputQuantizer, x: np.ndarray,
             lower[:, d:] = np.maximum(lower[:, d:], crossings(xm, d))
         b[merged, :-1] = np.minimum.accumulate(lower[:, ::-1], axis=1)[:, ::-1]
     return b
-
-
-def output_quantizer(q: InputQuantizer, w: float,
-                     model: PufModel | None = None) -> OutputQuantizer:
-    """MAP decision intervals for reconstructing S from Y given W = w.
-
-    The labels are the levels with a non-empty decision interval.  At
-    w = 0 the left tail's sibling point is -inf, so level 0 never wins.
-    """
-    model = model or q.model
-    if not 0.0 <= w < 1.0:
-        raise DomainError(f"helper value must lie in [0,1), got {w!r}")
-    b = _decision_borders(q, sibling_points(q, [w]), model.sigma_n)[0]
-    with np.errstate(invalid="ignore"):     # -inf - -inf at w = 0 is NaN
-        labels = np.nonzero(np.diff(b) > 0)[0]
-    full = np.concatenate(([-np.inf], b[labels[1:]], [np.inf]))
-    return OutputQuantizer(full, tuple(int(t) for t in labels), float(w))
-
-
-def reconstruct(oq: OutputQuantizer, y: float) -> int:
-    """Label of the decision interval containing y (border goes up)."""
-    y = float(y)
-    if not math.isfinite(y):
-        raise DomainError(f"y must be finite, got {y!r}")
-    return oq.labels[int(np.searchsorted(oq.inner_borders, y, side="right"))]

@@ -26,6 +26,9 @@ from .channel import AttackerSpec
 # afresh (1M-sample chunks are 128 MB at N = 16); the Philox per-sample
 # layout makes every result independent of it.
 _CHUNK = 65_536
+# Bins of the helper value in the W histograms and in the W-stratified
+# plug-in I(S;S~|W).
+_W_BINS = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,13 +38,10 @@ class SimConfig:
     samples: int
     seed: int
     attacker: AttackerSpec | None = None
-    w_bins: int = 64
 
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if self.w_bins < 2:
-            raise DomainError(f"w_bins must be >= 2, got {self.w_bins}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(
                 f"seed must be a non-negative integer, got {self.seed!r}")
@@ -56,7 +56,7 @@ class SimReport:
     matrix: np.ndarray            # empirical P(S~|S)
     matrix_se: np.ndarray         # per-entry standard errors
     error_rate: float
-    w_histograms: np.ndarray      # (N, w_bins) counts of W given S
+    w_histograms: np.ndarray      # (N, _W_BINS) counts of W given S
     mi_plugin: float              # plug-in I(S;S~) estimate, bits
     mi_conditional: float         # W-stratified plug-in I(S;S~|W)
 
@@ -140,14 +140,14 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     q = cfg.quantizer
     n = q.levels
     counts = np.zeros((n, n), dtype=np.int64)
-    w_hist = np.zeros((n, cfg.w_bins), dtype=np.int64)
-    cond_counts = np.zeros((cfg.w_bins, n, n), dtype=np.int64)
+    w_hist = np.zeros((n, _W_BINS), dtype=np.int64)
+    cond_counts = np.zeros((_W_BINS, n, n), dtype=np.int64)
     done = 0
     while done < cfg.samples:
         size = min(_CHUNK, cfg.samples - done)
         s, w, s_tilde, _ = _simulate_chunk(cfg, done, size)
         _tally(counts, s, s_tilde)
-        wb = np.minimum((w * cfg.w_bins).astype(np.int64), cfg.w_bins - 1)
+        wb = np.minimum((w * _W_BINS).astype(np.int64), _W_BINS - 1)
         _tally(w_hist, s, wb)
         _tally(cond_counts, wb, s, s_tilde)
         done += size
@@ -159,7 +159,7 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     mi = _plugin_mi(counts)
     total = cfg.samples
     mi_cond = sum((cond_counts[b].sum() / total) * _plugin_mi(cond_counts[b])
-                  for b in range(cfg.w_bins) if cond_counts[b].sum() > 0)
+                  for b in range(_W_BINS) if cond_counts[b].sum() > 0)
     summary = {
         "sigma_p": cfg.model.sigma_p, "sigma_n": cfg.model.sigma_n,
         "levels": n, "samples": cfg.samples, "seed": cfg.seed,

@@ -39,15 +39,6 @@ class PufModel:
                 f"sigma_n must be finite and nonnegative, got {self.sigma_n!r}")
 
 
-def q_function(x):
-    """Gaussian tail integral Q(x) = P(N(0,1) > x)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
-        raise DomainError("non-finite argument to q_function")
-    out = special.ndtr(-x)
-    return float(out) if out.ndim == 0 else out
-
-
 def log_q_function(x):
     """Natural log of Q(x); usable far beyond double-precision underflow."""
     x = np.asarray(x, dtype=float)

@@ -141,6 +141,8 @@ class TableSpec:
                 raise DomainError(f"unknown override {k!r}")
         if "epsilon" in self.overrides and caption["kind"] == "rates":
             raise DomainError("epsilon does not apply to a rate table")
+        if "p_a" in self.overrides and caption.get("attacker") == "digital":
+            raise DomainError("p_a does not apply to a digital cell table")
 
     @property
     def params(self) -> dict:

@@ -4,9 +4,13 @@ dispersion in pufsec.bounds.
 Each oracle loops over the alphabet and evaluates the defining variance of
 an information density directly, so it shares no arithmetic with the
 closed forms built from a ChannelSummary's second moments.  The pmf
-builders construct the attacker-extended sources explicitly.  The merge
-oracle is the scalar pop-stack construction of the MAP output quantizer,
-the second route for the vectorized decision borders in pufsec.quantizer.
+builders construct the attacker-extended sources explicitly; the package
+builds no attacker channel, so these are the only ones.  The merge oracle
+is the scalar pop-stack construction of the MAP output quantizer, the
+second route for the vectorized decision borders in pufsec.quantizer;
+`decision_intervals` reads the package's own intervals off those borders
+for one helper value, for the merge oracle and the brute-force MAP rule to
+check.
 The dense kernels are the band-free, unblocked, unfolded forms of the
 channel stack and of I(S;S~|W=w); the package's kernels match them to the
 bit except on mirror-folded stacks, where they match to rounding.  The
@@ -152,6 +156,16 @@ def oracle_output_quantizer(x, p, sigma_n):
         labels.append(t)
         borders.append(tau)
     return tuple(labels), np.concatenate(([-np.inf], borders, [np.inf]))
+
+
+def decision_intervals(q, w):
+    """(labels, borders) of the non-empty MAP decision intervals at W = w,
+    read off the package's decision borders."""
+    b = _decision_borders(q, sibling_points(q, [w]), q.model.sigma_n)[0]
+    with np.errstate(invalid="ignore"):     # -inf - -inf at w = 0
+        labels = np.nonzero(np.diff(b) > 0)[0]
+    borders = np.concatenate(([-np.inf], b[labels[1:]], [np.inf]))
+    return tuple(int(t) for t in labels), borders
 
 
 def oracle_channel(x, p, sigma_n):

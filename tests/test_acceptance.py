@@ -13,15 +13,15 @@ import pytest
 
 from pufsec.stats import PufModel, q_inverse
 from pufsec.quantizer import (make_equidistant, make_equiprobable,
-                              output_quantizer, reconstruct, sibling_points)
+                              sibling_points)
 from pufsec.channel import AttackerSpec, averaged_channel, per_w_channels
 from pufsec import bounds
 from pufsec.optimize import optimize_quantizer
 from pufsec.sim import SimConfig, leakage_test, run_simulation
 from pufsec.tables import PUBLISHED, TableSpec, generate_table
 from pufsec.stats import unit_interval_rule
-from oracles import erasure_joint, oracle_v1, oracle_vc, oracle_vc_prime, \
-    random_markov
+from oracles import decision_intervals, erasure_joint, oracle_v1, \
+    oracle_vc, oracle_vc_prime, random_markov
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -192,15 +192,16 @@ def test_criterion_7_property_suite():
     ps = [v["p_value"] for v in neg.values() if not v["under_sampled"]]
     ok = ok and bool(ps) and all(p < 1e-6 for p in ps)
 
-    # output quantizer equals brute-force MAP on a grid
+    # MAP decision intervals equal brute-force MAP on a grid
     q = make_equidistant(MODEL, 8, 2500.0)
     for w in (0.02, 0.5, 0.97):
-        oq = output_quantizer(q, w)
+        labels, borders = decision_intervals(q, w)
         x = sibling_points(q, w)
         for y in np.linspace(-11000, 11000, 201):
             score = np.log(q.probs) - (y - x) ** 2 / (2 * 129.0 ** 2)
             brute = len(score) - 1 - int(np.argmax(score[::-1]))
-            ok = ok and reconstruct(oq, float(y)) == brute
+            got = labels[int(np.searchsorted(borders[1:-1], y, side="right"))]
+            ok = ok and got == brute
 
     # dispersion formula vs enumeration oracle (small alphabet)
     s4 = bounds.summarize_channel(make_equiprobable(MODEL, 4), MODEL,

@@ -289,16 +289,6 @@ class TestMinCells:
                                   security_bits=128)
         assert bounds.min_cells(query, "achievability", nodes=64) is None
 
-    def test_evaluate_bundles_everything(self):
-        q = make_equiprobable(MODEL, 4)
-        att = AttackerSpec("digital", p_d=0.18)
-        query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=1e-6,
-                                  security_bits=128, n=2000)
-        res = bounds.evaluate(query)
-        assert res.cells_ach == 1399
-        assert res.rate_lower < res.rate_upper
-        assert "i_cond" in res.diagnostics
-
     def test_query_validation(self):
         q = make_equiprobable(MODEL, 4)
         att = AttackerSpec("digital", p_d=0.18)

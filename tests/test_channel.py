@@ -1,4 +1,3 @@
-import functools
 import multiprocessing
 import os
 import threading
@@ -11,21 +10,19 @@ from scipy import special
 
 from pufsec.stats import DomainError, PufModel, unit_interval_rule
 from pufsec.quantizer import (InputQuantizer, make_equidistant,
-                              make_equiprobable, output_quantizer,
-                              sibling_points)
+                              make_equiprobable, sibling_points)
 import pufsec
 from pufsec import _blocks, bounds, channel, info, quantizer, stats
-from pufsec.channel import (_PHI_ONE, _PHI_ZERO, ERASURE, AttackerSpec,
-                            ChannelMatrix, _conditional_mi, _mi_per_node,
-                            _mirror_half, analog_extension, averaged_channel,
-                            channel_given_w, digital_extension,
-                            per_w_channels)
+from pufsec.channel import (_PHI_ONE, _PHI_ZERO, AttackerSpec, ChannelMatrix,
+                            _conditional_mi, _mi_per_node, _mirror_half,
+                            averaged_channel, per_w_channels)
 from pufsec.info import entropy, mutual_information
 from pufsec.optimize import _symmetric_quantizer
 from pufsec.tables import equidistant_reference
 from blockpool import (pooled_crowded_inline, spy_public_calls,
                        spy_threads)
-from oracles import (dense_mi_per_node, dense_per_w_channels, oracle_channel,
+from oracles import (analog_triple, decision_intervals, dense_mi_per_node,
+                     dense_per_w_channels, erasure_joint, oracle_channel,
                      oracle_output_quantizer)
 
 MODEL = PufModel(2241.0, 129.0)
@@ -34,7 +31,7 @@ MODEL = PufModel(2241.0, 129.0)
 class TestChannelMatrix:
     def test_row_sum_validation(self):
         with pytest.raises(DomainError):
-            ChannelMatrix(np.array([[0.6, 0.3]]), (0,), (0, 1))
+            ChannelMatrix(np.array([[0.6, 0.3]]))
 
     def test_rows_stochastic_everywhere(self):
         # acceptance property: all rows sum to 1 within 1e-9
@@ -71,9 +68,9 @@ class TestChannelMatrix:
         for w, mat in zip(ws, mats):
             x = sibling_points(q, w)
             labels, borders = oracle_output_quantizer(x, q.probs, sigma_n)
-            oq = output_quantizer(q, w)
-            assert oq.labels == labels
-            assert np.array_equal(oq.borders, borders)
+            got_labels, got_borders = decision_intervals(q, w)
+            assert got_labels == labels
+            assert np.array_equal(got_borders, borders)
             rows = np.isfinite(x)
             gap = mat - oracle_channel(x, q.probs, sigma_n)
             assert np.max(np.abs(gap[rows])) <= 1e-15
@@ -82,20 +79,16 @@ class TestChannelMatrix:
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(DomainError):
-            ChannelMatrix(np.array([[np.nan, 1.0]]), (0,), (0, 1))
+            ChannelMatrix(np.array([[np.nan, 1.0]]))
         # at w = 0 level 0 has no sibling point, so its row is NaN
         with pytest.raises(DomainError):
-            channel_given_w(make_equiprobable(PufModel(), 4), 0.0)
-
-    def test_to_csv(self):
-        cm = channel_given_w(make_equiprobable(MODEL, 2), 0.5)
-        text = cm.to_csv()
-        assert text.splitlines()[0].startswith("input")
+            ChannelMatrix(per_w_channels(make_equiprobable(PufModel(), 4),
+                                         [0.0])[0])
 
     def test_sigma_n_zero_rejected(self):
         q = make_equiprobable(PufModel(2241.0, 0.0), 4)
         with pytest.raises(DomainError):
-            channel_given_w(q, 0.5)
+            per_w_channels(q, [0.5])
 
 
 class TestBandKernel:
@@ -319,11 +312,10 @@ class TestAveraging:
     def test_conditional_vs_averaged_mi_regression(self):
         # |I(S;S~|W) - I(S;S~)| stays below 1e-3 bits for the tabulated
         # configurations; the bounds module relies on this closeness
-        from pufsec.info import conditional_mi_given_w
         for n in (4, 8):
             q = make_equiprobable(MODEL, n)
             joint = q.probs[:, None] * averaged_channel(q, nodes=128).p
-            gap = abs(conditional_mi_given_w(q, nodes=128)
+            gap = abs(bounds.summarize_channel(q, nodes=128).i_cond
                       - mutual_information(joint))
             assert gap < 1e-3
 
@@ -333,8 +325,8 @@ class TestAveraging:
 
 
 class TestQuadrature:
-    """summarize_channel, averaged_channel and conditional_mi_given_w share
-    one routine: a doubling chain of Gauss-Legendre rules, each computed on
+    """summarize_channel, averaged_channel and the optimizer's reported rate
+    share one routine: a doubling chain of Gauss-Legendre rules, each computed on
     its mirror half, that stops at the first rule within _CHANNEL_TOL and
     _MI_TOL of its half rule (DECISIONS.md, "Error-controlled node
     count")."""
@@ -355,9 +347,7 @@ class TestQuadrature:
             return real(q, ws, model)
 
         monkeypatch.setattr(channel, "per_w_channels", spy)
-        for f in (bounds.summarize_channel, averaged_channel,
-                  functools.partial(info.conditional_mi_given_w,
-                                    full_output=True)):
+        for f in (bounds.summarize_channel, averaged_channel):
             calls.clear()
             f(q, nodes=nodes)
             assert len(calls) == len(chain)
@@ -431,56 +421,54 @@ class TestAttackerSpec:
 
 
 class TestExtensions:
+    """The attacker-extended sources that the dispersion oracles enumerate
+    (tests/oracles.py) obey the erasure identities of the attacker model."""
+
     def setup_method(self):
         self.q = make_equiprobable(MODEL, 4)
         self.base = averaged_channel(self.q, nodes=64)
         self.joint = self.q.probs[:, None] * self.base.p
 
     def test_digital_extension_rows(self):
-        ext = digital_extension(self.base, 0.18)
-        assert ext.output_labels[-1] == ERASURE
-        assert np.allclose(ext.p.sum(axis=1), 1.0, atol=1e-12)
+        ext = erasure_joint(self.joint, 0.18) / self.q.probs[:, None]
+        # the last column is the erasure, seen with probability p_d
+        assert np.allclose(ext[:, -1], 0.18, atol=1e-12)
+        assert np.allclose(ext.sum(axis=1), 1.0, atol=1e-12)
 
     def test_digital_erasure_mi_identity(self):
         # I(S; S~_d) = (1 - p_d) I(S; S~) exactly for an erasure channel
         p_d = 0.3
-        ext = digital_extension(self.base, p_d)
-        joint_ext = self.q.probs[:, None] * ext.p
+        joint_ext = erasure_joint(self.joint, p_d)
         assert mutual_information(joint_ext) == pytest.approx(
             (1.0 - p_d) * mutual_information(self.joint), abs=1e-12)
 
     def test_analog_extension_rows_and_masses(self):
-        ext = analog_extension(self.base, self.q, 0.18, 0.36)
-        assert np.allclose(ext.p.sum(axis=1), 1.0, atol=1e-12)
+        # P(view | S), view = (S~_d, S~_a) in analog_triple's column order
+        ext = (analog_triple(self.joint, 0.18, 0.36).sum(axis=1)
+               / self.q.probs[:, None])
+        assert np.allclose(ext.sum(axis=1), 1.0, atol=1e-12)
         # outcome class masses: (E,E) = p_d, (s~,E) = p_a-p_d, rest 1-p_a
         n = 4
-        cols = np.arange(ext.p.shape[1])
+        cols = np.arange(ext.shape[1])
         both_erased = cols == (n * (n + 1) + n)
         ana_erased = (cols % (n + 1) == n) & ~both_erased
-        assert np.allclose(ext.p[:, both_erased].sum(axis=1), 0.18)
-        assert np.allclose(ext.p[:, ana_erased].sum(axis=1), 0.36 - 0.18)
+        assert np.allclose(ext[:, both_erased].sum(axis=1), 0.18)
+        assert np.allclose(ext[:, ana_erased].sum(axis=1), 0.36 - 0.18)
 
     def test_analog_collapse_at_pa_eq_pd(self):
         # with p_a = p_d every unerased cell reveals S exactly:
         # I(S; view) = (1 - p_d) H(S)
         p = 0.25
-        ext = analog_extension(self.base, self.q, p, p)
-        joint_ext = self.q.probs[:, None] * ext.p
+        joint_ext = analog_triple(self.joint, p, p).sum(axis=1)
         assert mutual_information(joint_ext) == pytest.approx(
             (1.0 - p) * entropy(self.q.probs), abs=1e-12)
 
     def test_analog_reading_is_exact(self):
         # unerased analog coordinate always equals the enrolled level
-        ext = analog_extension(self.base, self.q, 0.1, 0.2)
+        ext = analog_triple(self.joint, 0.1, 0.2).sum(axis=1)
         n = 4
         for s in range(n):
             for d in range(n + 1):
                 for a in range(n):
                     if a != s:
-                        assert ext.p[s, d * (n + 1) + a] == 0.0
-
-    def test_extension_validation(self):
-        with pytest.raises(DomainError):
-            digital_extension(self.base, 1.2)
-        with pytest.raises(DomainError):
-            analog_extension(self.base, self.q, 0.4, 0.2)
+                        assert ext[s, d * (n + 1) + a] == 0.0

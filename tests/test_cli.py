@@ -104,6 +104,8 @@ DOMAIN_ERRORS = {
                       "--seed", "-1"],
     "global-seed": ["--seed", "-1", "simulate", "--levels", "8",
                     "--samples", "1000"],
+    # the digital cell tables have no p_a to override
+    "table-digital-pa": ["table", "--id", "3", "--override", "pa=0.9"],
 }
 
 
@@ -172,18 +174,28 @@ def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
     assert (record["quadrature_mi_delta"]
             == summaries[0].metadata["mi_refinement_delta"])
     assert record["quadrature_nodes"] == summaries[0].metadata["nodes_used"]
+    assert (record["quadrature_warning"]
+            == summaries[0].metadata["quadrature_warning"])
 
 
-@pytest.mark.parametrize("args,nodes", [
-    *((a, 32) for a in QUERIES.values()),
-    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 128),
-], ids=[*QUERIES, "rate-flagged"])
-def test_quadrature_nodes_reported(runner, args, nodes):
-    # equiprobable N = 8 converges at 32 of the default 128 nodes;
-    # equidistant N = 256 never does and runs the whole chain
+@pytest.mark.parametrize("args,nodes,warning", [
+    *((a, 32, False) for a in QUERIES.values()),
+    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 128,
+     True),
+    (["cells", "--strategy", "equidistant", "--step", "10", "--levels", "64",
+      "--attacker", "analog", "--pd", "0.18", "--pa", "0.36", "--security",
+      "128"], 128, True),
+], ids=[*QUERIES, "rate-flagged", "cells-flagged"])
+def test_quadrature_nodes_reported(runner, args, nodes, warning):
+    # equiprobable N = 8 converges at 32 of the default 128 nodes, far
+    # inside the 1e-6 flag; equidistant N = 256 and the 10-wide equidistant
+    # N = 64 never converge, run the whole chain and end it above the flag
+    # (channel deltas of about 3.5e-5 and 2.3e-4)
     res = run(runner, "--format", "json", *args)
     assert res.exit_code in (0, 1)
-    assert json.loads(res.output)["quadrature_nodes"] == nodes
+    record = json.loads(res.output)
+    assert record["quadrature_nodes"] == nodes
+    assert record["quadrature_warning"] is warning
 
 
 class TestTable:
@@ -294,3 +306,13 @@ class TestOutputFile:
         assert res.exit_code == 0
         assert json.loads(path.read_text())["rate"] == pytest.approx(
             0.2, abs=0.004)
+
+    @pytest.mark.parametrize("args", [
+        ["rate", "--attacker", "digital", "--pd", "0.1", "--levels", "4"],
+        ["--format", "csv", "table", "--id", "3"],
+    ], ids=["rate", "table-3"])
+    def test_out_file_holds_the_printed_bytes(self, runner, tmp_path, args):
+        path = tmp_path / "out.txt"
+        res = run(runner, "--out", str(path), *args)
+        assert res.exit_code == 0
+        assert path.read_bytes() == res.stdout_bytes

@@ -4,10 +4,10 @@ import pytest
 from oracles import (analog_triple, digital_triple, erasure_joint, oracle_v1,
                      oracle_vc, oracle_vc_prime, random_markov)
 from pufsec import bounds
-from pufsec.channel import _rule
+from pufsec.channel import _quadrature, _rule
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
-from pufsec.info import conditional_mi_given_w, entropy, mutual_information
+from pufsec.info import entropy, mutual_information
 
 
 class TestBasicMeasures:
@@ -99,20 +99,22 @@ class TestDispersionOracles:
 class TestConditionalMI:
     def test_refinement_diagnostics(self):
         q = make_equiprobable(PufModel(), 4)
-        val, info = conditional_mi_given_w(q, nodes=64, full_output=True)
+        s = bounds.summarize_channel(q, nodes=64)
+        val, delta = s.i_cond, s.metadata["mi_refinement_delta"]
         assert 0.0 < val < 2.0
-        assert info["refinement_delta"] < 1e-9
+        assert delta < 1e-9
         # the chain stops at 32 of the 64 nodes; the value is that rule's,
-        # on both paths, and the delta compares it with its half
-        k = info["nodes_used"]
+        # in the summary and in the optimizer's re-score, and the delta
+        # compares it with its half
+        k = s.metadata["nodes_used"]
         assert k == 32
         assert val == _rule(q, q.model, k)[1]
-        assert val == conditional_mi_given_w(q, nodes=64)
-        assert info["refinement_delta"] == abs(
-            val - _rule(q, q.model, k // 2)[1])
+        assert val == _quadrature(q, q.model, 64)[1]
+        assert delta == abs(val - _rule(q, q.model, k // 2)[1])
 
     def test_more_levels_more_information(self):
         m = PufModel()
-        vals = [conditional_mi_given_w(make_equiprobable(m, n), nodes=64)
+        vals = [bounds.summarize_channel(make_equiprobable(m, n),
+                                         nodes=64).i_cond
                 for n in (2, 4, 8, 16)]
         assert all(a < b for a, b in zip(vals, vals[1:]))

@@ -1,12 +1,13 @@
 """Package-level invariants: the cell tables, the Monte-Carlo reports and
 the sample dump the CLI writes stay byte for byte the recorded ones, the
-package version is the released one, and each command loads only the SciPy
-subpackages it uses.
+package version is the released one, each command loads only the SciPy
+subpackages it uses, and every public name has a caller outside the tests.
 
 A deliberate change to a file under tests/golden/ is logged in CHANGES.md
 with the reason the numbers moved.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -99,3 +100,27 @@ def test_commands_load_only_what_they_use(args, loads, avoids):
     loaded = set(json.loads(out.stdout))
     assert loaded.issuperset(loads)
     assert loaded.isdisjoint(avoids)
+
+
+def _referenced_names(path):
+    """Names a module refers to (ast.Name ids and ast.Attribute attrs); a
+    top-level function or class does not count references to itself."""
+    names = set()
+    for stmt in ast.parse(path.read_text()).body:
+        refs = {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(stmt)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            refs.discard(stmt.name)
+        names |= refs
+    return names
+
+
+def test_every_public_name_has_a_non_test_caller():
+    # the public package holds no code that only tests call: each exported
+    # name is used by another package module or by the benchmark harness
+    files = [f for f in sorted((ROOT / "src" / "pufsec").glob("*.py"))
+             if f.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*map(_referenced_names, files))
+    assert sorted(set(pufsec.__all__) - used) == []

@@ -1,17 +1,15 @@
 import json
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
-from oracles import (sibling_point, two_call_helper_values,
-                     two_call_sibling_points)
+from oracles import (decision_intervals, sibling_point,
+                     two_call_helper_values, two_call_sibling_points)
 from pufsec.stats import DomainError, PufModel
-from pufsec.quantizer import (InputQuantizer, helper_data, helper_values,
-                              make_equidistant, make_equiprobable,
-                              output_quantizer, reconstruct, sibling_points)
+from pufsec.quantizer import (InputQuantizer, helper_values, make_equidistant,
+                              make_equiprobable, sibling_points)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -51,12 +49,15 @@ class TestConstruction:
             InputQuantizer.from_borders(MODEL, [1.0, 1.0])
 
     def test_json_roundtrip(self):
+        # the quantizer dict that optimize and simulate print rebuilds it
         q = make_equidistant(MODEL, 8, 20000.0 / 8)
-        q2 = InputQuantizer.from_json(q.to_json())
+        d = json.loads(json.dumps(q.to_dict()))
+        q2 = InputQuantizer.from_borders(PufModel(d["sigma_p"], d["sigma_n"]),
+                                         d["borders"], kind=d["type"],
+                                         step=d["step"])
         assert np.allclose(q.borders[1:-1], q2.borders[1:-1])
         assert np.allclose(q.probs, q2.probs)
         assert q2.kind == "equidistant" and q2.step == q.step
-        d = json.loads(q.to_json())
         assert d["sigma_p"] == 2241.0
 
 
@@ -66,7 +67,7 @@ class TestHelperData:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_equiprobable(self, x, n):
         q = make_equiprobable(MODEL, n)
-        t, w = helper_data(q, x)
+        t, w = helper_values(q, x)
         assert 0 <= t < n and 0.0 <= w < 1.0
         assert sibling_point(q, t, w) == pytest.approx(x, abs=1e-6)
 
@@ -74,13 +75,13 @@ class TestHelperData:
         # interval buried 8 sigma out still round-trips (side-stable math)
         q = InputQuantizer.from_borders(MODEL, [-8 * 2241.0, 0.0, 8 * 2241.0])
         for x in (-18500.0, 18500.0):
-            t, w = helper_data(q, x)
+            t, w = helper_values(q, x)
             assert sibling_point(q, t, w) == pytest.approx(x, rel=1e-9)
 
     def test_border_point_goes_up(self):
         q = make_equiprobable(MODEL, 4)
         b = q.inner_borders[1]          # = 0
-        t, w = helper_data(q, b)
+        t, w = helper_values(q, b)
         assert t == 2 and w == pytest.approx(0.0, abs=1e-12)
 
     def test_w_uniformity_by_transform(self):
@@ -89,7 +90,7 @@ class TestHelperData:
         q = make_equiprobable(MODEL, 8)
         u = (np.arange(2000) + 0.5) / 2000
         xs = MODEL.sigma_p * scistats.norm.ppf(u)
-        ws = [helper_data(q, x)[1] for x in xs]
+        ws = helper_values(q, xs)[1]
         stat = scistats.kstest(ws, "uniform").statistic
         assert stat < 0.01
 
@@ -163,8 +164,6 @@ class TestHelperData:
     def test_invalid_inputs(self):
         q = make_equiprobable(MODEL, 4)
         with pytest.raises(DomainError):
-            helper_data(q, math.inf)
-        with pytest.raises(DomainError):
             sibling_point(q, 4, 0.5)
         with pytest.raises(DomainError):
             sibling_point(q, 0, 1.0)
@@ -174,7 +173,7 @@ def brute_force_map(q, w, y, sigma_n):
     """Independent MAP rule: maximize p_t * phi((y - x_t)/sigma_n).
 
     Exact ties (y on a decision border) go to the higher level, matching
-    the border-goes-up convention of reconstruct."""
+    the border-goes-up convention of the decision intervals."""
     x = sibling_points(q, w)
     score = np.log(q.probs) - (y - x) ** 2 / (2.0 * sigma_n ** 2)
     return len(score) - 1 - int(np.argmax(score[::-1]))
@@ -192,23 +191,24 @@ class TestOutputQuantizer:
             q = make_equidistant(MODEL, n, 20000.0 / n)
         ys = np.linspace(-12000.0, 12000.0, 401)
         for w in (0.0, 0.13, 0.5, 0.86, 0.999):
-            oq = output_quantizer(q, w)
+            labels, borders = decision_intervals(q, w)
             for y in ys:
-                assert reconstruct(oq, float(y)) == brute_force_map(
-                    q, w, y, MODEL.sigma_n), (w, y)
+                got = labels[int(np.searchsorted(borders[1:-1], y,
+                                                 side="right"))]
+                assert got == brute_force_map(q, w, y, MODEL.sigma_n), (w, y)
 
     def test_labels_strictly_increasing_subsequence(self):
         q = make_equidistant(MODEL, 32, 20000.0 / 32)
         for w in np.linspace(0, 0.999, 25):
-            oq = output_quantizer(q, float(w))
-            assert list(oq.labels) == sorted(set(oq.labels))
-            assert np.all(np.diff(oq.borders) > 0)
+            labels, borders = decision_intervals(q, float(w))
+            assert list(labels) == sorted(set(labels))
+            assert np.all(np.diff(borders) > 0)
 
     def test_merging_occurs_for_unequal_masses(self):
         # tail levels of a wide equidistant quantizer are dominated for
         # some helper values
         q = make_equidistant(MODEL, 64, 20000.0 / 64)
-        merged = [len(output_quantizer(q, float(w)).labels)
+        merged = [len(decision_intervals(q, float(w))[0])
                   for w in np.linspace(0, 0.999, 40)]
         assert min(merged) < 64
 
@@ -216,11 +216,4 @@ class TestOutputQuantizer:
         # w = 0 is excluded: there the left tail level degenerates away
         q = make_equiprobable(MODEL, 4)
         for w in (0.01, 0.5, 0.99):
-            assert output_quantizer(q, w).labels == (0, 1, 2, 3)
-
-    def test_reconstruct_validation(self):
-        oq = output_quantizer(make_equiprobable(MODEL, 4), 0.5)
-        with pytest.raises(DomainError):
-            reconstruct(oq, math.nan)
-        with pytest.raises(DomainError):
-            output_quantizer(make_equiprobable(MODEL, 4), 1.5)
+            assert decision_intervals(q, w)[0] == (0, 1, 2, 3)

@@ -9,14 +9,14 @@ from click.testing import CliRunner
 from scipy import special
 
 import pufsec
-from pufsec import _blocks, quantizer, sim as sim_mod, stats
+from pufsec import _blocks, bounds, quantizer, sim as sim_mod, stats
 from pufsec.cli import main
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.channel import AttackerSpec, averaged_channel
 from pufsec.sim import (SimConfig, attacker_observations, leakage_test,
                         run_simulation)
-from pufsec.info import conditional_mi_given_w, mutual_information
+from pufsec.info import mutual_information
 from blockpool import pooled_crowded_inline, spy_public_calls, spy_threads
 
 MODEL = PufModel(2241.0, 129.0)
@@ -80,7 +80,7 @@ class TestPipeline:
         assert rep.mi_plugin == pytest.approx(mutual_information(joint),
                                               abs=0.01)
         assert rep.mi_conditional == pytest.approx(
-            conditional_mi_given_w(q, nodes=128), abs=0.01)
+            bounds.summarize_channel(q, nodes=128).i_cond, abs=0.01)
 
     def test_error_rate_matches_channel(self):
         q = make_equiprobable(MODEL, 8)
@@ -92,18 +92,15 @@ class TestPipeline:
 
     def test_w_histograms_uniform_overall(self):
         cfg = SimConfig(MODEL, make_equiprobable(MODEL, 4),
-                        samples=200_000, seed=11, w_bins=20)
+                        samples=200_000, seed=11)
         rep = run_simulation(cfg)
         pooled = rep.w_histograms.sum(axis=0)
-        expect = cfg.samples / 20
+        expect = cfg.samples / sim_mod._W_BINS
         assert np.max(np.abs(pooled - expect)) < 5 * np.sqrt(expect)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=0, seed=1)
-        with pytest.raises(DomainError):
-            SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
-                      seed=1, w_bins=1)
         for seed in (-1, 1.5):
             with pytest.raises(DomainError):
                 SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,

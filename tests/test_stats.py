@@ -6,14 +6,19 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st
 
-from pufsec.stats import (DomainError, PufModel, log_q_function, q_function,
-                          q_inverse, unit_interval_rule)
+from pufsec.stats import (DomainError, PufModel, log_q_function, q_inverse,
+                          unit_interval_rule)
 
 mpmath.mp.dps = 60
 
 
 def mp_q(x):
     return mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+
+
+def q_function(x):
+    """Q(x) from the package's one Q-function, log_q_function."""
+    return math.exp(log_q_function(x))
 
 
 class TestGaussianPrimitives:
