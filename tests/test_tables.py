@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import pytest
 
 from pufsec import bounds
@@ -129,12 +132,24 @@ def test_non_optimized_rate_cells_match_published(levels):
                 assert abs(rate - ref) <= tol, (key, rate, ref)
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 @pytest.mark.parametrize("tid", (1, 2))
 def test_optimized_rate_cells_reach_published(tid):
     # values above the published ones pass: those are a search result, not
     # an upper bound
     table = generate_table(TableSpec(tid, {"levels": [2, 4, 8, 16]}))
+    # the CSV of `pufsec --format csv table --id 1|2 --override
+    # levels=2;4;8;16`, byte for byte: it pins the optimizer's search
+    assert render_csv(table).encode() == \
+        (GOLDEN / f"table_{tid}_small.csv").read_bytes()
+    # data processing: S, S~ and W are functions of X, Y and X, so no
+    # quantizer's rate exceeds p_d * I(X;Y) = p_d/2 * log2(1 + SNR)
+    p_d = CAPTIONS[tid]["p_d"]
+    limit = p_d * 0.5 * math.log2(1.0 + (MODEL.sigma_p / MODEL.sigma_n) ** 2)
     for row in table["rows"]:
+        assert all(v <= limit for v in row["values"]), row
         for attacker in ("digital", "analog"):
             col = RATE_COLUMNS.index(f"optimized {attacker}")
             base = RATE_COLUMNS.index(f"equiprobable {attacker}")
