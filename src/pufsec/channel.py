@@ -195,6 +195,11 @@ def _conditional_mi(q: InputQuantizer, model: PufModel, nodes: int) -> float:
 # tolerances of its half rule (DECISIONS.md, "Error-controlled node count").
 _CHANNEL_TOL = 1e-10
 _MI_TOL = 1e-12
+# The optimizer scores every candidate on this one rule (or on the `nodes`
+# cap, if smaller): the first rule the chain can certify, and the one it
+# certifies for most quantizers (DECISIONS.md, "Error-controlled node
+# count").
+_SEARCH_NODES = 32
 
 
 def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
@@ -207,7 +212,8 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
     `nodes` rule alone, checked against the `nodes // 2` rule.  The two
     differences, recorded in the channel's metadata with the node count
     used, estimate the error of the half rule, an upper estimate for the
-    reported one.
+    reported one.  The channel is flagged (`quadrature_warning`) when its
+    difference exceeds 1e-6 or either difference is not finite.
     """
     if nodes < 16:
         raise DomainError(f"nodes must be >= 16, got {nodes}")
@@ -224,7 +230,8 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
         if delta <= _CHANNEL_TOL and mi_delta <= _MI_TOL:
             break
     meta = {"nodes": nodes, "nodes_used": k, "refinement_delta": delta,
-            "quadrature_warning": delta > 1e-6,
+            "quadrature_warning": not (delta <= 1e-6
+                                       and np.isfinite(mi_delta)),
             "mi_refinement_delta": mi_delta}
     return ChannelMatrix(p, metadata=meta), mi
 

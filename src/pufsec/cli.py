@@ -62,7 +62,7 @@ def _quantizer(ctx, levels, strategy, attacker=None, step=None):
     if attacker is None:
         _fail("--strategy optimized needs an attacker objective")
     return tables.optimized_quantizer(model, levels, attacker,
-                                      ctx.obj["nodes"])
+                                      ctx.obj["nodes"]).quantizer
 
 
 def _attacker(kind, p_d, p_a):
@@ -350,7 +350,7 @@ def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
     att = _attacker(attacker, p_d, p_a)
     res = opt_mod.optimize_quantizer(
         model=_model(ctx), levels=levels, objective=att, budget=budget,
-        nodes=min(ctx.obj["nodes"], 64))
+        nodes=ctx.obj["nodes"])
     record = {"attacker": attacker, "levels": levels, "p_d": p_d,
               "rate": res.rate, "evaluations": res.evaluations,
               "budget_exhausted": res.budget_exhausted,

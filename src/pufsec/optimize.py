@@ -24,7 +24,7 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _conditional_mi makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _conditional_mi, _quadrature
+from .channel import AttackerSpec, _SEARCH_NODES, _conditional_mi, _quadrature
 from .channel import per_w_channels  # noqa: F401
 from .info import entropy
 from .bounds import _asymptotic_rate
@@ -133,8 +133,10 @@ def optimize_quantizer(model: PufModel, levels: int,
     one Nelder-Mead from the better of them spends the rest of the budget.
     The search is deterministic, its objective is never below the better
     start's, and it makes at most max(budget, 2) objective evaluations.
-    The objective is the rate on the one `nodes`-point rule; the reported
-    rate is the public one, on at most `nodes` nodes.
+    Every candidate, the starts included, is scored on the one
+    min(`nodes`, 32)-point rule (`channel._SEARCH_NODES`); the reported
+    rate is the public one, on the error-controlled quadrature capped at
+    `nodes`.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -143,6 +145,7 @@ def optimize_quantizer(model: PufModel, levels: int,
     # local: only the optimizer needs scipy.optimize, which is slow to import
     from scipy import optimize as sciopt
 
+    search_nodes = min(nodes, _SEARCH_NODES)
     evals = 0
 
     def neg_rate(h):
@@ -152,12 +155,13 @@ def optimize_quantizer(model: PufModel, levels: int,
             q = _symmetric_quantizer(model, h, levels)
         except DomainError:
             return 1e9
-        return -_rate(q, objective, nodes)
+        return -_rate(q, objective, search_nodes)
 
     half = (levels - 1) // 2
     starts = [np.arange(1, half + 1) / levels]
     try:
-        step, _ = best_equidistant_step(model, levels, objective, nodes=nodes)
+        step, _ = best_equidistant_step(model, levels, objective,
+                                        nodes=search_nodes)
         starts.append(make_equidistant(model, levels, step).cdf[1:half + 1])
     except DomainError:
         pass

@@ -170,24 +170,48 @@ def _decision_borders(q: InputQuantizer, x: np.ndarray,
     Returns b of shape (K, N+1): Y in [b_t, b_{t+1}) decides S~ = t, and a
     dominated level (one that never wins the MAP comparison) gets
     b_t == b_{t+1}.  Where the adjacent equal-posterior crossings increase
-    they are the borders.  On the other rows the lower border of level t
-    is L_t = max over j < t of crossing(j, t), and since MAP regions are
-    ordered in t, b_t is the suffix minimum of L.
+    they are the borders.  The other rows take the upper envelope of the
+    log-posteriors, lines in y with increasing slopes x_t / sigma_n^2: a
+    level is dominated when its crossing with the active level on its left
+    is at or above its crossing with the active level on its right, and
+    each pass drops every dominated level of every such row until none is
+    left.  The lower border L_t of each level is then its crossing with
+    the active level on its left, and since MAP regions are ordered in t,
+    b_t is the suffix minimum of L.
     """
-    def crossings(x, d):
-        # crossing(t - d, t) of p_{t-d} phi(y - x_{t-d}) and p_t phi(y - x_t)
-        lo, hi = x[:, :-d], x[:, d:]
-        return (np.log(q.probs[:-d] / q.probs[d:]) * sigma_n ** 2 / (hi - lo)
-                + (lo + hi) / 2.0)
+    probs = q.probs
 
-    taus = crossings(x, 1)
+    def crossing(lo, hi, p_lo, p_hi):
+        # equal-posterior point of p_lo phi(y - lo) and p_hi phi(y - hi)
+        return np.log(p_lo / p_hi) * sigma_n ** 2 / (hi - lo) + (lo + hi) / 2.0
+
+    taus = crossing(x[:, :-1], x[:, 1:], probs[:-1], probs[1:])
     b = np.concatenate((np.full((len(x), 1), -np.inf), taus,
                         np.full((len(x), 1), np.inf)), axis=1)
     merged = ~np.all(np.diff(taus, axis=1) > 0, axis=1)
     if merged.any():
         xm = x[merged]
-        lower = np.full(xm.shape, -np.inf)
-        for d in range(1, xm.shape[1]):
-            lower[:, d:] = np.maximum(lower[:, d:], crossings(xm, d))
+        n = xm.shape[1]
+        levels = np.arange(n)
+        # the outer levels are never dominated: an interval's two ends
+        active = np.ones(xm.shape, dtype=bool)
+        while True:
+            # left[:, t-1] is the active level below level t = 1..N-1, and
+            # c[:, t-1] its crossing with t
+            left = np.maximum.accumulate(
+                np.where(active[:, :-1], levels[:-1], 0), axis=1)
+            c = crossing(np.take_along_axis(xm, left, axis=1), xm[:, 1:],
+                         probs[left], probs[1:])
+            # the active level above t = 1..N-2; its left one is t itself,
+            # so its entry of c is crossing(t, right)
+            right = np.minimum.accumulate(
+                np.where(active[:, :1:-1], levels[:1:-1], n - 1),
+                axis=1)[:, ::-1]
+            dominated = active[:, 1:-1] & (
+                c[:, :-1] >= np.take_along_axis(c, right - 1, axis=1))
+            if not dominated.any():
+                break
+            active[:, 1:-1] &= ~dominated
+        lower = np.concatenate((np.full((len(xm), 1), -np.inf), c), axis=1)
         b[merged, :-1] = np.minimum.accumulate(lower[:, ::-1], axis=1)[:, ::-1]
     return b

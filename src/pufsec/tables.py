@@ -169,12 +169,12 @@ def equidistant_reference(model: PufModel, levels: int) -> InputQuantizer:
 
 
 def optimized_quantizer(model: PufModel, levels: int, attacker: AttackerSpec,
-                        nodes: int) -> InputQuantizer:
-    """Best quantizer the optimizer finds against `attacker` with this
-    module's per-alphabet effort, searching at no more than 64 nodes."""
+                        nodes: int) -> optimize.OptimizeResult:
+    """The optimizer's search against `attacker` with this module's
+    per-alphabet effort; its rate is the public one, on at most `nodes`
+    nodes, and its search runs on the optimizer's own fixed rule."""
     return optimize.optimize_quantizer(
-        model, levels, attacker, _OPT_BUDGETS.get(levels, 300),
-        nodes=min(nodes, 64)).quantizer
+        model, levels, attacker, _OPT_BUDGETS.get(levels, 300), nodes=nodes)
 
 
 def _rate_row(model, levels, p_d, p_a, nodes):
@@ -188,12 +188,11 @@ def _rate_row(model, levels, p_d, p_a, nodes):
 
     eq_dig, eq_ana = pair(equidistant_reference(model, levels))
     ep_dig, ep_ana = pair(make_equiprobable(model, levels))
-    op_dig, _ = pair(optimized_quantizer(model, levels, dig, nodes))
-    _, op_ana = pair(optimized_quantizer(model, levels, ana, nodes))
-    # the optimizer never reports worse than its starts at its own node
-    # count; re-scoring at full resolution keeps that guarantee explicit
-    op_dig = max(op_dig, ep_dig)
-    op_ana = max(op_ana, ep_ana)
+    # the optimizer's rate is the public rate of its quantizer at `nodes`,
+    # the objective's column only; its search never falls below its starts
+    # on the search rule, and the max keeps that explicit at `nodes`
+    op_dig = max(optimized_quantizer(model, levels, dig, nodes).rate, ep_dig)
+    op_ana = max(optimized_quantizer(model, levels, ana, nodes).rate, ep_ana)
     return (eq_dig, eq_ana, ep_dig, ep_ana, op_dig, op_ana)
 
 
@@ -224,8 +223,13 @@ def generate_table(spec: TableSpec, model: PufModel | None = None, *,
     """Compute a full table; returns a plain dict ready for rendering.
 
     With compare=True each row carries the published values and per-cell
-    deviations (relative for nonzero reference cells, absolute otherwise).
+    deviations (relative for nonzero reference cells, absolute otherwise);
+    the published values hold for the published parameters only, so a
+    comparison allows no override but `levels`.
     """
+    if compare and set(spec.overrides) - {"levels"}:
+        raise DomainError("a comparison with the published values allows "
+                          "no override but levels")
     model = model or PufModel()
     params = spec.params
     rows = []

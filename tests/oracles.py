@@ -7,7 +7,9 @@ closed forms built from a ChannelSummary's second moments.  The pmf
 builders construct the attacker-extended sources explicitly; the package
 builds no attacker channel, so these are the only ones.  The merge oracle
 is the scalar pop-stack construction of the MAP output quantizer, the
-second route for the vectorized decision borders in pufsec.quantizer;
+second route for the vectorized decision borders in pufsec.quantizer, and
+the loop oracle the level-by-level form those borders must match to the
+bit;
 `decision_intervals` reads the package's own intervals off those borders
 for one helper value, for the merge oracle and the brute-force MAP rule to
 check.
@@ -156,6 +158,30 @@ def oracle_output_quantizer(x, p, sigma_n):
         labels.append(t)
         borders.append(tau)
     return tuple(labels), np.concatenate(([-np.inf], borders, [np.inf]))
+
+
+def loop_decision_borders(q, x, sigma_n):
+    """MAP decision borders for sibling points x of shape (K, N), with
+    merged rows done level distance by level distance: L_t is the maximum
+    over j < t of crossing(j, t) and b_t the suffix minimum of L.  The
+    package's envelope passes must give the same borders to the bit."""
+    def crossings(x, d):
+        # crossing(t - d, t) of p_{t-d} phi(y - x_{t-d}) and p_t phi(y - x_t)
+        lo, hi = x[:, :-d], x[:, d:]
+        return (np.log(q.probs[:-d] / q.probs[d:]) * sigma_n ** 2 / (hi - lo)
+                + (lo + hi) / 2.0)
+
+    taus = crossings(x, 1)
+    b = np.concatenate((np.full((len(x), 1), -np.inf), taus,
+                        np.full((len(x), 1), np.inf)), axis=1)
+    merged = ~np.all(np.diff(taus, axis=1) > 0, axis=1)
+    if merged.any():
+        xm = x[merged]
+        lower = np.full(xm.shape, -np.inf)
+        for d in range(1, xm.shape[1]):
+            lower[:, d:] = np.maximum(lower[:, d:], crossings(xm, d))
+        b[merged, :-1] = np.minimum.accumulate(lower[:, ::-1], axis=1)[:, ::-1]
+    return b
 
 
 def decision_intervals(q, w):

@@ -302,6 +302,19 @@ class TestAveraging:
         assert avg.metadata["refinement_delta"] < 1e-9
         assert not avg.metadata["quadrature_warning"]
 
+    def test_non_finite_delta_is_flagged(self):
+        # outer intervals of mass 4.8e-310: an O(1) channel entry over a
+        # subnormal marginal gives I(S;S~|W) = inf and a NaN delta, which
+        # must not read as a trusted result.  The RuntimeWarnings are the
+        # known defect of such masses, expected here, not suppressed.
+        q = InputQuantizer.from_borders(
+            PufModel(), [-84310.0, -1000.0, 0.0, 1000.0, 84310.0])
+        with pytest.warns(RuntimeWarning):
+            s = bounds.summarize_channel(q)
+        assert s.i_cond == np.inf
+        assert np.isnan(s.metadata["mi_refinement_delta"])
+        assert s.metadata["quadrature_warning"] is True
+
     def test_symmetry_of_averaged_matrix(self):
         # the Gaussian model is symmetric under x -> -x, so the averaged
         # channel of a symmetric quantizer is persymmetric

@@ -224,6 +224,23 @@ class TestTable:
         (row,) = data["rows"]
         assert all(v is None for v in row["values"])
 
+    @pytest.mark.parametrize("table_id,override", [
+        (4, "pd=0.3"), (1, "pa=0.5"), (3, "eps=1e-9")])
+    def test_compare_refuses_parameter_override(self, runner, table_id,
+                                                override):
+        # the published values hold for the published parameters only
+        res = run(runner, "--format", "csv", "table", "--id", str(table_id),
+                  "--override", override, "--override", "levels=4",
+                  "--compare")
+        assert res.exit_code == 2
+        assert "no override but levels" in res.output
+
+    def test_compare_keeps_levels_override(self, runner):
+        res = run(runner, "--format", "csv", "table", "--id", "4",
+                  "--override", "levels=4", "--compare")
+        assert res.exit_code == 0
+        assert res.output.splitlines()[1].startswith("4,1399,606,")
+
     def test_markdown_rendering(self, runner):
         res = run(runner, "table", "--id", "8", "--override", "levels=2;4")
         assert res.exit_code == 0

@@ -7,7 +7,8 @@ from pufsec.quantizer import make_equiprobable
 from pufsec.channel import AttackerSpec
 from pufsec.optimize import (KNOT_MARGIN, best_equidistant_step,
                              optimize_quantizer, repair_knots)
-from pufsec import bounds
+from pufsec import bounds, channel, optimize
+from pufsec.stats import unit_interval_rule
 from oracles import quantizer_from_knots
 
 MODEL = PufModel(2241.0, 129.0)
@@ -110,3 +111,31 @@ class TestOptimizer:
             optimize_quantizer(MODEL, 1, DIGITAL)
         with pytest.raises(DomainError):
             optimize_quantizer(MODEL, 4, DIGITAL, budget=0)
+
+
+@pytest.mark.parametrize("nodes,search", [(128, 32), (64, 32), (16, 16)])
+def test_search_runs_on_one_fixed_rule(monkeypatch, nodes, search):
+    # every candidate, the two starts and the equidistant step search
+    # included, is scored on the min(nodes, 32)-node rule: per_w_channels
+    # sees exactly its computed mirror half; only the reported rate goes
+    # through the error-controlled chain capped at `nodes`
+    calls, phase = [], ["search"]
+    real_stack, real_quadrature = channel.per_w_channels, optimize._quadrature
+
+    def stack_spy(q, ws, model=None):
+        calls.append((phase[0], np.asarray(ws)))
+        return real_stack(q, ws, model)
+
+    def quadrature_spy(q, model, n):
+        phase[0] = "report"
+        assert n == nodes
+        return real_quadrature(q, model, n)
+
+    monkeypatch.setattr(channel, "per_w_channels", stack_spy)
+    monkeypatch.setattr(optimize, "_quadrature", quadrature_spy)
+    res = optimize_quantizer(MODEL, 8, DIGITAL, budget=60, nodes=nodes)
+    searched = [ws for ph, ws in calls if ph == "search"]
+    assert len(searched) >= res.evaluations
+    half = unit_interval_rule(search)[0][:search // 2]
+    assert all(np.array_equal(ws, half) for ws in searched)
+    assert any(ph == "report" for ph, _ in calls)

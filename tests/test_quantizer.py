@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as scistats
 
-from oracles import (decision_intervals, sibling_point,
-                     two_call_helper_values, two_call_sibling_points)
-from pufsec.stats import DomainError, PufModel
-from pufsec.quantizer import (InputQuantizer, helper_values, make_equidistant,
+from oracles import (decision_intervals, loop_decision_borders,
+                     sibling_point, two_call_helper_values,
+                     two_call_sibling_points)
+from pufsec.optimize import _symmetric_quantizer
+from pufsec.stats import DomainError, PufModel, unit_interval_rule
+from pufsec.quantizer import (InputQuantizer, _decision_borders,
+                              helper_values, make_equidistant,
                               make_equiprobable, sibling_points)
+from pufsec.tables import equidistant_reference
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -217,3 +221,48 @@ class TestOutputQuantizer:
         q = make_equiprobable(MODEL, 4)
         for w in (0.01, 0.5, 0.99):
             assert decision_intervals(q, w)[0] == (0, 1, 2, 3)
+
+
+def _border_stack_quantizer(name):
+    """The quantizers the envelope kernel is gated on: fixed-range
+    equidistant at three noise levels, equiprobable N = 256, and four
+    perturbed N = 256 optimizer candidates."""
+    kind, arg = name.split("-")
+    if kind == "equiprobable":
+        return make_equiprobable(MODEL, int(arg))
+    if kind == "perturbed":
+        rng = np.random.default_rng(int(arg))
+        h = np.arange(1, 128) / 256 * np.exp(0.1 * rng.standard_normal(127))
+        return _symmetric_quantizer(MODEL, np.sort(h), 256)
+    levels, sigma_n = arg.split("@")
+    return equidistant_reference(PufModel(2241.0, float(sigma_n)),
+                                 int(levels))
+
+
+BORDER_STACKS = ([f"equidistant-{n}@{sn}" for sn in (129, 200, 400)
+                  for n in (8, 16, 32, 64, 128, 256)]
+                 + ["equiprobable-256"]
+                 + [f"perturbed-{seed}" for seed in range(4)])
+
+
+@pytest.mark.parametrize("name", BORDER_STACKS)
+def test_envelope_borders_match_the_loop_to_the_bit(name):
+    # the envelope passes against the level-by-level loop they replaced,
+    # on the computed halves of the 32- and 64-node rules
+    q = _border_stack_quantizer(name)
+    for nodes in (32, 64):
+        xs, _ = unit_interval_rule(nodes)
+        x = sibling_points(q, xs[:nodes // 2])
+        assert np.array_equal(_decision_borders(q, x, q.model.sigma_n),
+                              loop_decision_borders(q, x, q.model.sigma_n))
+
+
+def test_envelope_gate_covers_merged_rows():
+    # the stacks above exercise the envelope, not only the adjacent path
+    merged = 0
+    for name in BORDER_STACKS:
+        q = _border_stack_quantizer(name)
+        b = _decision_borders(q, sibling_points(q, unit_interval_rule(32)[0]),
+                              q.model.sigma_n)
+        merged += int(np.sum(np.any(np.diff(b, axis=1) == 0, axis=1)))
+    assert merged >= 100

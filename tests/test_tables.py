@@ -6,10 +6,11 @@ import pytest
 from pufsec import bounds
 from pufsec.quantizer import make_equiprobable
 from pufsec.stats import DomainError, PufModel
+from pufsec.channel import AttackerSpec
 from pufsec.tables import (CAPTIONS, CELL_COLUMNS, CELL_LEVELS, PUBLISHED,
                            RATE_COLUMNS, RATE_LEVELS, TableSpec,
                            equidistant_reference, generate_table,
-                           render_csv, render_markdown)
+                           optimized_quantizer, render_csv, render_markdown)
 
 MODEL = PufModel()
 
@@ -158,3 +159,17 @@ def test_optimized_rate_cells_reach_published(tid):
             key = (tid, row["levels"], attacker)
             assert rate >= ref - 1e-3, (key, rate, ref)
             assert rate >= row["values"][base], key
+
+
+def test_optimized_cell_is_the_public_rate_of_its_quantizer():
+    # the table takes the optimizer's rate as the cell: it must be the
+    # public rate of the returned quantizer at the table's own node cap
+    dig = AttackerSpec("digital", p_d=0.18)
+    ana = AttackerSpec("analog", p_d=0.18, p_a=0.36)
+    for levels in (4, 8):
+        res = optimized_quantizer(MODEL, levels, dig, 128)
+        assert res.rate == bounds.asymptotic_rate_digital(
+            res.quantizer, MODEL, p_d=0.18, nodes=128)
+        res = optimized_quantizer(MODEL, levels, ana, 128)
+        assert res.rate == bounds.asymptotic_rate_analog(
+            res.quantizer, MODEL, p_d=0.18, p_a=0.36, nodes=128)[0]
