@@ -105,8 +105,7 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     half = _mirror_half(q, ws)
     x = sibling_points(q, ws[:half])                        # (half, N)
     # one call for all nodes, on this thread: on merged rows the kernel
-    # loops over the levels in Python, which neither splits into blocks
-    # nor gains from a second thread
+    # repeats envelope passes, each a few numpy calls over all those rows
     b = _decision_borders(q, x, model.sigma_n)              # (half, N+1)
     n = x.shape[1]
     out = np.empty((k, n, n))

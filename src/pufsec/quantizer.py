@@ -193,7 +193,8 @@ def _decision_borders(q: InputQuantizer, x: np.ndarray,
         xm = x[merged]
         n = xm.shape[1]
         levels = np.arange(n)
-        # the outer levels are never dominated: an interval's two ends
+        # levels 0 and N-1 are never tested: the lines of least and of
+        # greatest slope always reach the envelope
         active = np.ones(xm.shape, dtype=bool)
         while True:
             # left[:, t-1] is the active level below level t = 1..N-1, and

@@ -188,9 +188,9 @@ def _rate_row(model, levels, p_d, p_a, nodes):
 
     eq_dig, eq_ana = pair(equidistant_reference(model, levels))
     ep_dig, ep_ana = pair(make_equiprobable(model, levels))
-    # the optimizer's rate is the public rate of its quantizer at `nodes`,
-    # the objective's column only; its search never falls below its starts
-    # on the search rule, and the max keeps that explicit at `nodes`
+    # each objective's cell is the optimizer's own rate, the public one at
+    # `nodes`; the search never ends below its equiprobable start on its
+    # search rule, and the max keeps that explicit at `nodes`
     op_dig = max(optimized_quantizer(model, levels, dig, nodes).rate, ep_dig)
     op_ana = max(optimized_quantizer(model, levels, ana, nodes).rate, ep_ana)
     return (eq_dig, eq_ana, ep_dig, ep_ana, op_dig, op_ana)
