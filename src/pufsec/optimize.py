@@ -72,6 +72,9 @@ def best_equidistant_step(model: PufModel, levels: int,
     Bounded scalar search on log-step over [sigma_P/50, 10*sigma_P],
     restarted on _STEP_SUBINTERVALS subintervals because the objective need
     not be unimodal; steps whose tail intervals underflow score -inf.
+    `nodes` is the fixed Gauss-Legendre rule every step is scored on, and
+    the returned rate is read on that same rule: it is not a cap of the
+    error-controlled quadrature, unlike `nodes` of the public rates.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -124,7 +127,7 @@ def _symmetric_quantizer(model: PufModel, h: np.ndarray,
 
 def optimize_quantizer(model: PufModel, levels: int,
                        objective: AttackerSpec, budget: int = 2000, *,
-                       nodes: int = 64):
+                       nodes: int = 128):
     """Best mirror-symmetric input quantizer found within the budget.
 
     The source and the noise are symmetric about zero, so only the lower
@@ -136,7 +139,8 @@ def optimize_quantizer(model: PufModel, levels: int,
     Every candidate, the starts included, is scored on the one
     min(`nodes`, 32)-point rule (`channel._SEARCH_NODES`); the reported
     rate is the public one, on the error-controlled quadrature capped at
-    `nodes`.
+    `nodes` (128 by default, as in `asymptotic_rate_*` and
+    `summarize_channel`).
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")

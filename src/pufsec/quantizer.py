@@ -149,18 +149,28 @@ def sibling_points(q: InputQuantizer, w) -> np.ndarray:
     out = np.empty((flat.size, q.levels))
 
     def job(blk):
-        wb = flat[blk]
-        u = q.cdf[:-1] + np.multiply.outer(wb, q.probs)   # mass from the left
-        v = q.sf[:-1] - np.multiply.outer(wb, q.probs)    # mass from the right
-        lower = u <= 0.5
-        # the upper entries are -Phi^{-1}(v): one ndtri call, then negate them
-        x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)),
-                          out=out[blk])
-        np.negative(x, out=x, where=~lower)
-        x *= q.model.sigma_p
+        _sibling_rows(q, flat[blk], slice(None), out=out[blk])
 
     _blocks._run_blocks(job, _blocks._row_blocks(flat.size, q.levels))
     return out.reshape(w.shape + (q.levels,))
+
+
+def _sibling_rows(q: InputQuantizer, w: np.ndarray, levels,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """g_t^{-1}(w[i]) for the levels t of row i: `levels` is slice(None)
+    for all N levels (result (len(w), N)) or an integer array of shape
+    (len(w), k) (result (len(w), k)).  Every entry is the same to the bit
+    whichever levels are asked for; a row-block job calls this, not the
+    public `sibling_points`."""
+    wp = w[:, None] * q.probs[levels]
+    u = q.cdf[:-1][levels] + wp        # mass from the left
+    v = q.sf[:-1][levels] - wp         # mass from the right
+    lower = u <= 0.5
+    # the upper entries are -Phi^{-1}(v): one ndtri call, then a product
+    # with -sigma_p there (negation is exact, so it may come first or last)
+    x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)), out=out)
+    x *= np.where(lower, q.model.sigma_p, -q.model.sigma_p)
+    return x
 
 
 def _decision_borders(q: InputQuantizer, x: np.ndarray,

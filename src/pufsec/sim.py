@@ -3,9 +3,13 @@
 Samples the full per-cell process - enrollment measurement, zero-leakage
 helper data, noisy reconstruction, MAP decision, attacker observation -
 with a counter-based RNG so that a fixed seed reproduces reports
-bit-exactly.  The MAP decision here is an argmax over levels, which is an
-independent implementation of the merged output quantizer and therefore
-usable as an oracle for it.
+bit-exactly.  The MAP decision here is an argmax of the log-posteriors
+over levels, an implementation of the merged output quantizer that never
+calls its decision borders, and therefore usable as an oracle for it.  The
+argmax is scored on a window of _WINDOW levels around the interval that
+holds the noisy reading and certified per sample; a sample whose
+certificate fails is scored on all N levels, so every sample is the full
+argmax's to the bit.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ import json
 import numpy as np
 from scipy import special
 
-from . import _blocks
+from . import _blocks, quantizer
 from .stats import DomainError, PufModel
-from .quantizer import InputQuantizer, helper_values, sibling_points
+from .quantizer import InputQuantizer, helper_values
 from .channel import AttackerSpec
 
 # Samples per chunk.  Small enough that a chunk's (size, N) temporaries are
@@ -26,6 +30,8 @@ from .channel import AttackerSpec
 # afresh (1M-sample chunks are 128 MB at N = 16); the Philox per-sample
 # layout makes every result independent of it.
 _CHUNK = 65_536
+# Levels in the MAP step's window around the interval that holds y.
+_WINDOW = 5
 # Bins of the helper value in the W histograms and in the W-stratified
 # plug-in I(S;S~|W).
 _W_BINS = 64
@@ -102,29 +108,75 @@ def _uniforms(seed, start, size):
 def _simulate_chunk(cfg: SimConfig, start, size):
     """One batch of (s, w, s_tilde, u_attack) samples, fully vectorized.
     The MAP step runs in row blocks (`_blocks`), each writing its own slice
-    of s_tilde."""
+    of s_tilde.
+
+    The MAP estimate argmax_t ln p_t - (y - x_t(w))^2 / (2 sigma_n^2) is
+    taken over a window of _WINDOW levels (all N when N is smaller) around
+    the interval r that holds y.  It is the full row's argmax when every
+    level outside the window provably scores below the window's best: the
+    sibling points increase in t and rounding is monotone, so level t < lo
+    scores at most max_{t<lo} ln p_t - (y - x_lo)^2 / (2 sigma_n^2) where
+    x_lo <= y, and likewise above the window.  Rows that fail this
+    certificate take the full row (DECISIONS.md, "Windowed MAP step in the
+    Monte-Carlo oracle").
+    """
     q = cfg.quantizer
     model = cfg.model
+    n = q.levels
     u = _uniforms(cfg.seed, start, size)
     x = model.sigma_p * special.ndtri(u[:, 0])
     s, w = helper_values(q, x)
-    centers = sibling_points(q, w)                       # (size, N)
     s_tilde = np.empty(size, dtype=np.intp)
 
-    def job(blk):
-        if model.sigma_n == 0:
+    if model.sigma_n == 0:
+        def job(blk):
             # noiseless limit of the MAP rule: nearest sibling point
-            s_tilde[blk] = np.argmin(np.abs(x[blk, None] - centers[blk]),
-                                     axis=1)
-            return
-        y = x[blk] + model.sigma_n * special.ndtri(u[blk, 1])
-        # MAP estimate: argmax_t ln p_t - (y - x_t(w))^2 / (2 sigma_n^2)
-        log_post = (np.log(q.probs)[None, :]
-                    - (y[:, None] - centers[blk]) ** 2
-                    / (2.0 * model.sigma_n ** 2))
-        s_tilde[blk] = np.argmax(log_post, axis=1)
+            centers = quantizer._sibling_rows(q, w[blk], slice(None))
+            s_tilde[blk] = np.argmin(np.abs(x[blk, None] - centers), axis=1)
 
-    _blocks._run_blocks(job, _blocks._row_blocks(size, q.levels))
+        _blocks._run_blocks(job, _blocks._row_blocks(size, n))
+        return s, w, s_tilde, u[:, 2]
+
+    logp = np.log(q.probs)
+    c = 2.0 * model.sigma_n ** 2
+    width = min(_WINDOW, n)
+    offsets = np.arange(width)
+    # best ln p below level lo (index lo) and from level hi + 1 on (index
+    # hi + 1); -inf where no level is left
+    below = np.concatenate(([-np.inf], np.maximum.accumulate(logp)))
+    above = np.concatenate(
+        (np.maximum.accumulate(logp[::-1])[::-1], [-np.inf]))
+
+    def full_row(wb, y):
+        xs = quantizer._sibling_rows(q, wb, slice(None))
+        return np.argmax(logp - (y[:, None] - xs) ** 2 / c, axis=1)
+
+    def job(blk):
+        y = x[blk] + model.sigma_n * special.ndtri(u[blk, 1])
+        wb = w[blk]
+        r = np.searchsorted(q.inner_borders, y, side="right")
+        lo = np.clip(r - width // 2, 0, n - width)
+        hi = lo + (width - 1)
+        levels = lo[:, None] + offsets
+        xs = quantizer._sibling_rows(q, wb, levels)
+        dist = (y[:, None] - xs) ** 2 / c
+        log_post = logp[levels] - dist
+        pick = np.argmax(log_post, axis=1)
+        best = log_post[np.arange(len(y)), pick]
+        low_ok = (lo == 0) | ((xs[:, 0] <= y)
+                              & (below[lo] - dist[:, 0] < best))
+        high_ok = (hi == n - 1) | ((y <= xs[:, -1])
+                                   & (above[hi + 1] - dist[:, -1] < best))
+        full = ~(low_ok & high_ok)
+        out = lo + pick
+        if full.any():
+            out[full] = full_row(wb[full], y[full])
+        s_tilde[blk] = out
+
+    # sized as 4 entries per window level: blocks of 3,276 samples keep the
+    # (rows, 5) temporaries in cache (2 vCPU, N = 16: 10 to 40 entries per
+    # sample timed alike, 80 and more slower)
+    _blocks._run_blocks(job, _blocks._row_blocks(size, _WINDOW * 4))
     return s, w, s_tilde, u[:, 2]
 
 

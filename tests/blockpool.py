@@ -68,13 +68,22 @@ def spy_public_calls(monkeypatch, namespaces):
 
 def spy_threads(f, workers):
     """f, recording each calling thread in `workers`; the calling thread
-    sleeps 1 ms per call to leave blocks for the pool."""
+    sleeps 1 ms per call to leave blocks for the pool.  Until a pool thread
+    has called f, the calling thread also waits up to 0.1 s before each of
+    its calls: a pool thread can take longer than 1 ms to wake on a loaded
+    machine, and a call with two blocks then ran both on the calling
+    thread (29 of 1,000 summaries of TestNodePool's test under four busy
+    processes on 2 CPUs, none with the wait)."""
     main = threading.get_ident()
+    pooled = threading.Event()
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         workers.add(threading.get_ident())
         if threading.get_ident() == main:
+            pooled.wait(0.1)
             time.sleep(1e-3)
+        else:
+            pooled.set()
         return f(*args, **kwargs)
     return wrapper

@@ -20,7 +20,9 @@ two-call sibling points and helper values are the forms the one-call
 kernels must match to the bit; the scalar sibling point reads one level of
 the sibling-point kernel, with its arguments checked, for the helper-data
 round trips.  The knot quantizer is the plain knot-to-border map, without
-the mirror symmetry the optimizer imposes on its candidates.
+the mirror symmetry the optimizer imposes on its candidates.  The full-row
+sample chunk takes the Monte-Carlo MAP argmax over all N sibling points,
+the form the windowed MAP step must match to the bit.
 """
 
 import math
@@ -28,9 +30,12 @@ import math
 import numpy as np
 from scipy import special
 
+from pufsec import _blocks
 from pufsec.optimize import repair_knots
+from pufsec.sim import _uniforms
 from pufsec.stats import DomainError
-from pufsec.quantizer import InputQuantizer, _decision_borders, sibling_points
+from pufsec.quantizer import (InputQuantizer, _decision_borders,
+                              helper_values, sibling_points)
 
 
 def random_markov(rng, nx, ny, nz):
@@ -264,3 +269,31 @@ def quantizer_from_knots(model, u):
     with no symmetry imposed."""
     inner = model.sigma_p * special.ndtri(repair_knots(u))
     return InputQuantizer.from_borders(model, inner, kind="optimized")
+
+
+def full_row_simulate_chunk(cfg, start, size):
+    """One batch of (s, w, s_tilde, u_attack) samples with the MAP argmax
+    taken over the sibling points of all N levels of every sample."""
+    q = cfg.quantizer
+    model = cfg.model
+    u = _uniforms(cfg.seed, start, size)
+    x = model.sigma_p * special.ndtri(u[:, 0])
+    s, w = helper_values(q, x)
+    centers = sibling_points(q, w)                       # (size, N)
+    s_tilde = np.empty(size, dtype=np.intp)
+
+    def job(blk):
+        if model.sigma_n == 0:
+            # noiseless limit of the MAP rule: nearest sibling point
+            s_tilde[blk] = np.argmin(np.abs(x[blk, None] - centers[blk]),
+                                     axis=1)
+            return
+        y = x[blk] + model.sigma_n * special.ndtri(u[blk, 1])
+        # MAP estimate: argmax_t ln p_t - (y - x_t(w))^2 / (2 sigma_n^2)
+        log_post = (np.log(q.probs)[None, :]
+                    - (y[:, None] - centers[blk]) ** 2
+                    / (2.0 * model.sigma_n ** 2))
+        s_tilde[blk] = np.argmax(log_post, axis=1)
+
+    _blocks._run_blocks(job, _blocks._row_blocks(size, q.levels))
+    return s, w, s_tilde, u[:, 2]

@@ -87,6 +87,16 @@ class TestOptimizer:
         assert ana.rate == bounds.asymptotic_rate_analog(
             ana.quantizer, p_d=0.18, p_a=0.36, nodes=64)[0]
 
+    def test_default_nodes_give_the_public_rate(self):
+        # with no nodes argument the reported rate is read on the same
+        # 128-node cap as the public asymptotic rates' default
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60)
+        assert dig.rate == bounds.asymptotic_rate_digital(dig.quantizer,
+                                                          p_d=0.18)
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
+        assert ana.rate == bounds.asymptotic_rate_analog(
+            ana.quantizer, p_d=0.18, p_a=0.36)[0]
+
     def test_budget_accounting(self):
         res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64)
         assert res.evaluations >= 4          # at least the start ranking

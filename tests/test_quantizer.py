@@ -11,7 +11,7 @@ from oracles import (decision_intervals, loop_decision_borders,
 from pufsec.optimize import _symmetric_quantizer
 from pufsec.stats import DomainError, PufModel, unit_interval_rule
 from pufsec.quantizer import (InputQuantizer, _decision_borders,
-                              helper_values, make_equidistant,
+                              _sibling_rows, helper_values, make_equidistant,
                               make_equiprobable, sibling_points)
 from pufsec.tables import equidistant_reference
 
@@ -164,6 +164,26 @@ class TestHelperData:
             got = sibling_points(q, ws)
             assert got.shape == shape + (16,)
             assert np.array_equal(got, two_call_sibling_points(q, ws))
+
+    @pytest.mark.parametrize("q", [
+        make_equiprobable(MODEL, 16),
+        make_equidistant(MODEL, 64, 20000.0 / 64),
+        make_equidistant(MODEL, 256, 20000.0 / 256)])
+    def test_level_rows_are_the_sibling_points(self, q):
+        # the helper behind sibling_points gives the same bits for any
+        # levels asked for, at w = 0 (level 0 at -inf) and at the largest
+        # helper value included
+        rng = np.random.default_rng(q.levels)
+        ws = np.concatenate(([0.0, np.nextafter(1.0, 0.0)],
+                             rng.uniform(0.0, 1.0, 3000)))
+        full = sibling_points(q, ws)
+        assert np.array_equal(_sibling_rows(q, ws, slice(None)), full)
+        lo = np.clip(rng.integers(-2, q.levels, (len(ws), 1)), 0,
+                     q.levels - 5)
+        for levels in (lo + np.arange(5), np.zeros((len(ws), 5), int),
+                       np.full((len(ws), 5), q.levels - 1)):
+            assert np.array_equal(_sibling_rows(q, ws, levels),
+                                  np.take_along_axis(full, levels, axis=1))
 
     def test_invalid_inputs(self):
         q = make_equiprobable(MODEL, 4)

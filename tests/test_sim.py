@@ -18,6 +18,7 @@ from pufsec.sim import (SimConfig, attacker_observations, leakage_test,
                         run_simulation)
 from pufsec.info import mutual_information
 from blockpool import pooled_crowded_inline, spy_public_calls, spy_threads
+from oracles import full_row_simulate_chunk
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -198,8 +199,10 @@ class TestBlockPool:
                 leakage_test(cfgs[0], helper="center-distance"),
                 *(attacker_observations(c)["counts"] for c in cfgs)]
 
+    # equidistant N = 64 at sigma_N = 400 sends about 14% of the samples
+    # to the MAP step's full-row fallback (TestWindowedMAP), N = 8 none
     @pytest.mark.parametrize("n,sigma_n", [(8, 129.0), (64, 129.0),
-                                           (8, 0.0)])
+                                           (64, 400.0), (8, 0.0)])
     def test_pool_matches_inline(self, monkeypatch, n, sigma_n):
         pooled, crowded, inline = pooled_crowded_inline(
             monkeypatch, lambda: self.outputs(n, sigma_n))
@@ -209,17 +212,20 @@ class TestBlockPool:
                 assert np.array_equal(a, b)
 
     def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
+        # N = 8 never takes the MAP step's full-row fallback; equidistant
+        # N = 64 at sigma_N = 400 does for about 14% of its samples
         calls = spy_public_calls(monkeypatch,
                                  (pufsec, quantizer, stats, sim_mod))
         main_thread = threading.get_ident()
-        workers = set()
-        ndtri = spy_threads(special.ndtri, workers)
-        monkeypatch.setattr(sim_mod, "special",
-                            types.SimpleNamespace(ndtri=ndtri))
         monkeypatch.setattr(_blocks, "_THREADS", 2)  # a helper even on one CPU
-        self.outputs(8)
-        assert calls and set(calls) == {main_thread}
-        assert len(workers) > 1
+        for n, sigma_n in ((8, 129.0), (64, 400.0)):
+            workers = set()
+            ndtri = spy_threads(special.ndtri, workers)
+            monkeypatch.setattr(sim_mod, "special",
+                                types.SimpleNamespace(ndtri=ndtri))
+            self.outputs(n, sigma_n)
+            assert calls and set(calls) == {main_thread}
+            assert len(workers) > 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_its_own_pool(self):
@@ -229,6 +235,59 @@ class TestBlockPool:
         with multiprocessing.get_context("fork").Pool(1) as pool:
             child = pool.apply_async(run_simulation, (cfg,)).get(timeout=60)
         assert child.to_json() == report
+
+
+def grid_config(strategy, n, sigma_n):
+    m = PufModel(2241.0, sigma_n)
+    q = (make_equiprobable(m, n) if strategy == "equiprobable"
+         else make_equidistant(m, n, 20000.0 / n))
+    return SimConfig(m, q, samples=1, seed=17)
+
+
+class TestWindowedMAP:
+    """The MAP step scores a five-level window around the interval that
+    holds y and takes the full row only where the window's argmax is not
+    certified (DECISIONS.md, "Windowed MAP step in the Monte-Carlo
+    oracle"); every sample must be the full row's to the bit."""
+
+    @pytest.mark.parametrize("sigma_n", [0.0, 60.0, 129.0, 400.0])
+    @pytest.mark.parametrize("n", [2, 3, 8, 16, 64, 256])
+    @pytest.mark.parametrize("strategy", ["equidistant", "equiprobable"])
+    def test_chunk_matches_the_full_row(self, strategy, n, sigma_n):
+        cfg = grid_config(strategy, n, sigma_n)
+        for start, size in ((0, 20_000), (123_457, 4097)):
+            got = sim_mod._simulate_chunk(cfg, start, size)
+            ref = full_row_simulate_chunk(cfg, start, size)
+            for a, b in zip(got, ref):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    @staticmethod
+    def full_rows(monkeypatch, cfg, size):
+        """Rows the chunk's MAP step sends through the full-row helper."""
+        rows = []
+        real = quantizer._sibling_rows
+
+        def spy(q, w, levels, out=None):
+            if isinstance(levels, slice):
+                rows.append(len(w))
+            return real(q, w, levels, out)
+
+        monkeypatch.setattr(quantizer, "_sibling_rows", spy)
+        sim_mod._simulate_chunk(cfg, 0, size)
+        return sum(rows)
+
+    def test_grid_exercises_the_fallback(self, monkeypatch):
+        # the inner intervals of equidistant N = 64 (312 wide) are narrower
+        # than the noise at sigma_N = 400, so its winner often sits on or
+        # beyond the window's edge; with equal interval masses the winner
+        # is the nearest sibling point, always one of r - 1, r and r + 1
+        size = 20_000
+        fallback = self.full_rows(
+            monkeypatch, grid_config("equidistant", 64, 400.0), size)
+        assert 0.05 * size < fallback < 0.5 * size
+        assert self.full_rows(
+            monkeypatch, grid_config("equiprobable", 64, 400.0), size) == 0
 
 
 def test_dump_csv_walks_the_chunks(tmp_path, monkeypatch):
