@@ -113,10 +113,9 @@ def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
     )
 
 
-def _as_summary(q, model=None, nodes: int = 128) -> ChannelSummary:
-    if isinstance(q, ChannelSummary):
-        return q
-    return summarize_channel(q, model, nodes=nodes)
+def _check_summary(s):
+    if not isinstance(s, ChannelSummary):
+        raise DomainError("expected a ChannelSummary from summarize_channel")
 
 
 # ---------------------------------------------------------------------------
@@ -146,21 +145,20 @@ def _asymptotic_rate(att: AttackerSpec, i_cond: float, h_s: float) -> float:
     return max(_first_order(att, "achievability", i_cond, h_s), 0.0)
 
 
-def asymptotic_rate_digital(q, model=None, p_d: float = 0.1, *,
-                            nodes: int = 128) -> float:
+def asymptotic_rate_digital(s: ChannelSummary, p_d: float = 0.1) -> float:
     """Secret-key capacity against the digital attacker:
     I(S; S~ | W) * p_d bits per cell."""
     att = AttackerSpec("digital", p_d=p_d)
-    s = _as_summary(q, model, nodes)
+    _check_summary(s)
     return _asymptotic_rate(att, s.i_cond, s.h_s)
 
 
-def asymptotic_rate_analog(q, model=None, p_d: float = 0.1,
-                           p_a: float = 0.2, *, nodes: int = 128):
+def asymptotic_rate_analog(s: ChannelSummary, p_d: float = 0.1,
+                           p_a: float = 0.2):
     """(lower, upper) bounds on the key capacity against the analog
     attacker; the lower bound is clamped at zero."""
     att = AttackerSpec("analog", p_d=p_d, p_a=p_a)
-    s = _as_summary(q, model, nodes)
+    _check_summary(s)
     return (_asymptotic_rate(att, s.i_cond, s.h_s),
             _first_order(att, "converse", s.i_cond, s.h_s))
 
@@ -282,50 +280,47 @@ def _rate_at(first: float, penalty: float, n) -> float:
     return first - penalty / math.sqrt(n)
 
 
-def _finite_rate(att, direction, q, model, n, epsilon, delta, security_bits,
-                 nodes):
+def _finite_rate(att, direction, s, n, epsilon, delta, security_bits):
     _check_n(n)
     _check_eps_delta(epsilon, delta, security_bits)
-    s = _as_summary(q, model, nodes)
+    _check_summary(s)
     return _rate_at(*_rate_terms(att, direction, s, epsilon, delta,
                                  security_bits), n)
 
 
-def finite_rate_digital_ach(q, model=None, p_d=0.1, n=1000, epsilon=1e-6,
-                            delta=None, *, security_bits=None,
-                            nodes: int = 128) -> float:
+def finite_rate_digital_ach(s: ChannelSummary, p_d=0.1, n=1000, epsilon=1e-6,
+                            delta=None, *, security_bits=None) -> float:
     """Normal-approximation achievable key rate against the digital
     attacker (may be negative; callers clamp)."""
     return _finite_rate(AttackerSpec("digital", p_d=p_d), "achievability",
-                        q, model, n, epsilon, delta, security_bits, nodes)
+                        s, n, epsilon, delta, security_bits)
 
 
-def finite_rate_digital_conv(q, model=None, p_d=0.1, n=1000, epsilon=1e-6,
-                             delta=None, *, security_bits=None,
-                             nodes: int = 128) -> float:
+def finite_rate_digital_conv(s: ChannelSummary, p_d=0.1, n=1000,
+                             epsilon=1e-6, delta=None, *,
+                             security_bits=None) -> float:
     """Exact second-order converse rate against the digital attacker."""
     return _finite_rate(AttackerSpec("digital", p_d=p_d), "converse",
-                        q, model, n, epsilon, delta, security_bits, nodes)
+                        s, n, epsilon, delta, security_bits)
 
 
-def finite_rate_analog_ach(q, model=None, p_d=0.1, p_a=0.2, n=1000,
-                           epsilon=1e-6, delta=None, *, security_bits=None,
-                           nodes: int = 128) -> float:
+def finite_rate_analog_ach(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
+                           epsilon=1e-6, delta=None, *,
+                           security_bits=None) -> float:
     """Normal-approximation achievable key rate against the analog
     attacker (may be negative; callers clamp)."""
     return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a),
-                        "achievability", q, model, n, epsilon, delta,
-                        security_bits, nodes)
+                        "achievability", s, n, epsilon, delta, security_bits)
 
 
-def finite_rate_analog_conv(q, model=None, p_d=0.1, p_a=0.2, n=1000,
-                            epsilon=1e-6, delta=None, *, security_bits=None,
-                            nodes: int = 128) -> float:
+def finite_rate_analog_conv(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
+                            epsilon=1e-6, delta=None, *,
+                            security_bits=None) -> float:
     """Second-order converse rate against the analog attacker, with the
     default (reference) dispersion variant.  The value does not depend on
     p_a; the argument is kept for interface symmetry."""
     return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a), "converse",
-                        q, model, n, epsilon, delta, security_bits, nodes)
+                        s, n, epsilon, delta, security_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -360,36 +355,39 @@ class BoundQuery:
 
 def min_cells(query: BoundQuery, direction: str,
               cap: int = LOG2_CAP_DEFAULT, *,
-              summary: ChannelSummary | None = None,
-              nodes: int = 128) -> int | None:
+              summary: ChannelSummary) -> int | None:
     """Smallest cell count n <= cap with n * rate(n) >= the target secret
-    size in bits, or None when no such n exists (infeasible).
+    size in bits, or None (infeasible) when there is none or first <= 0.
 
-    rate(n) is the achievability lower bound or converse upper bound for
-    the query's attacker; n * max(rate(n), 0) is nondecreasing in n, which
-    the exponential-bracket + binary-search below relies on.
+    rate(n) = first - penalty / sqrt(n) is the query's achievability or
+    converse bound on `summary`.  With t = sqrt(n), the search starts at
+    the square of the positive root of first t^2 - penalty t = target,
+    rounded up; integer steps settle the rounding with the predicate, which
+    is monotone as n * rate(n) increases wherever it is positive
+    (DECISIONS.md, "Closed-form min_cells").
     """
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
-    if summary is None:
-        summary = summarize_channel(query.quantizer, nodes=nodes)
+    _check_summary(summary)
     first, penalty = _rate_terms(query.attacker, direction, summary,
                                  query.epsilon, query.delta,
                                  query.security_bits)
+    if not first > 0.0:
+        return None
     target = query.target_bits
 
-    def bits(n):
-        return n * max(_rate_at(first, penalty, n), 0.0)
+    def meets(n):
+        return n * max(_rate_at(first, penalty, n), 0.0) >= target
 
-    if first <= 0.0 or bits(cap) < target:
-        return None
-    lo, hi = 1, 1
-    while bits(hi) < target:
-        lo, hi = hi, min(hi * 2, cap)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bits(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    sq = math.sqrt(penalty ** 2 + 4.0 * first * target)
+    # the form of the positive root that cancels no digits
+    root = ((penalty + sq) / (2.0 * first) if penalty > 0.0
+            else 2.0 * target / (sq - penalty))
+    n = max(math.ceil(root * root), 1) if root * root < cap else cap
+    while n > 1 and meets(n - 1):
+        n -= 1
+    while not meets(n):
+        if n == cap:
+            return None
+        n += 1
+    return n

@@ -93,21 +93,17 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     Returns an array of shape (len(ws), N, N): the Gaussian mass of each
     sibling point between consecutive MAP decision borders.  Phi is
     evaluated only where it is not exactly 0 or 1; a level whose sibling
-    point is -inf (S = 0 at w = 0) gets a NaN row.  On a mirror-symmetric
-    quantizer and node set (`_mirror_half`) only the leading half of the
-    nodes is evaluated; the other half is its mirror image.
+    point is -inf (S = 0 at w = 0) gets a NaN row.  Every node given is
+    evaluated; `_rule` passes only the mirror half it needs.
     """
     model = model or q.model
     if model.sigma_n <= 0:
         raise DomainError("channel matrices need sigma_n > 0")
-    ws = np.asarray(ws, dtype=float)
-    k = len(ws)
-    half = _mirror_half(q, ws)
-    x = sibling_points(q, ws[:half])                        # (half, N)
+    x = sibling_points(q, np.asarray(ws, dtype=float))     # (K, N)
     # one call for all nodes, on this thread: on merged rows the kernel
     # repeats envelope passes, each a few numpy calls over all those rows
-    b = _decision_borders(q, x, model.sigma_n)              # (half, N+1)
-    n = x.shape[1]
+    b = _decision_borders(q, x, model.sigma_n)              # (K, N+1)
+    k, n = x.shape
     out = np.empty((k, n, n))
 
     def job(blk):
@@ -123,13 +119,8 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
             # shapes
             f[band] = special.ndtr(z[band])
             np.subtract(f[:, :, 1:], f[:, :, :-1], out=out[blk])
-        # the mirror images of this block's nodes, k-1-j for j < k - half,
-        # written while the block is still in cache
-        stop = min(blk.stop, k - half)
-        if stop > blk.start:
-            out[k - stop:k - blk.start] = out[blk.start:stop][::-1, ::-1, ::-1]
 
-    _blocks._run_blocks(job, _blocks._row_blocks(half, n * (n + 1)))
+    _blocks._run_blocks(job, _blocks._row_blocks(k, n * (n + 1)))
     return out
 
 
@@ -165,10 +156,12 @@ def _rule(q: InputQuantizer, model: PufModel, nodes: int,
     unless `channel`.
 
     On a mirror-symmetric quantizer (`_mirror_half`) only the leading half
-    of the stack is computed.  Node K-1-k repeats node k's information, so
-    for I(S;S~|W) the half carries the weights of both; its channel is
-    node k's with S and S~ both reversed, so the averaged channel adds the
-    reversed reduction of the mirrored weights.
+    of the stack is computed; this is the one place the fold is decided,
+    as `per_w_channels` evaluates every node it is given.  Node K-1-k
+    repeats node k's information, so for I(S;S~|W) the half carries the
+    weights of both; its channel is node k's with S and S~ both reversed,
+    so the averaged channel adds the reversed reduction of the mirrored
+    weights.
     """
     xs, wts = unit_interval_rule(nodes)
     half = _mirror_half(q, xs)
@@ -182,12 +175,6 @@ def _rule(q: InputQuantizer, model: PufModel, nodes: int,
     p = np.tensordot(wts[:half], mats, axes=1)
     p += np.tensordot(mirror, mats[:len(mirror)], axes=1)[::-1, ::-1]
     return p, mi
-
-
-def _conditional_mi(q: InputQuantizer, model: PufModel, nodes: int) -> float:
-    """I(S; S~ | W) in bits on the one `nodes`-point rule: the optimizer's
-    objective, which must not switch rules between candidates."""
-    return _rule(q, model, nodes, channel=False)[1]
 
 
 # The error-controlled chain stops at the first rule within both

@@ -32,19 +32,6 @@ def _emit(ctx, text: str):
     click.echo(text, nl=False)
 
 
-def _fmt(value, fmt: str) -> str:
-    if value is None:
-        return f">{tables.CELL_CAP}"
-    if isinstance(value, int):
-        return str(value)
-    if fmt == "markdown":
-        # 3-decimal human format, except for values it would round to 0
-        if value != 0 and abs(value) < 5e-4:
-            return f"{value:.3g}"
-        return f"{value:.3f}"
-    return f"{value:.6g}"
-
-
 def _model(ctx) -> PufModel:
     return ctx.obj["model"]
 
@@ -82,22 +69,18 @@ def _quadrature_fields(summary) -> dict:
             "quadrature_warning": m["quadrature_warning"]}
 
 
-def _render_record(ctx, record: dict) -> str:
+def _render_record(ctx, record: dict, cap: int = tables.CELL_CAP) -> str:
+    """A query record as JSON, CSV or aligned lines; a cell count of None
+    reads ">cap", the cap the query searched."""
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         return json.dumps(record, indent=2, sort_keys=True)
+    vals = [tables.format_cell(v, fmt, cap) if isinstance(v, (int, float))
+            or v is None else str(v) for v in record.values()]
     if fmt == "csv":
-        keys = list(record)
-        vals = [_fmt(record[k], "csv") if isinstance(record[k], (int, float))
-                or record[k] is None else str(record[k]) for k in keys]
-        return ",".join(keys) + "\n" + ",".join(vals)
+        return ",".join(record) + "\n" + ",".join(vals)
     width = max(len(k) for k in record)
-    lines = []
-    for k, v in record.items():
-        sv = _fmt(v, "markdown") if isinstance(v, (int, float)) or v is None \
-            else str(v)
-        lines.append(f"{k:<{width}}  {sv}")
-    return "\n".join(lines)
+    return "\n".join(f"{k:<{width}}  {v}" for k, v in zip(record, vals))
 
 
 class _Command(click.Command):
@@ -204,7 +187,7 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
     if attacker == "analog":
         record["p_a"] = p_a
     record.update(_quadrature_fields(summary))
-    _emit(ctx, _render_record(ctx, record))
+    _emit(ctx, _render_record(ctx, record, cap))
 
 
 def _parse_overrides(pairs):
@@ -237,14 +220,7 @@ def table(ctx, table_id, compare, override):
     spec = tables.TableSpec(table_id, _parse_overrides(override))
     data = tables.generate_table(spec, _model(ctx), nodes=ctx.obj["nodes"],
                                  compare=compare)
-    fmt = ctx.obj["fmt"]
-    if fmt == "json":
-        text = json.dumps(data, indent=2, sort_keys=True)
-    elif fmt == "csv":
-        text = tables.render_csv(data)
-    else:
-        text = tables.render_markdown(data)
-    _emit(ctx, text)
+    _emit(ctx, tables.render(data, ctx.obj["fmt"]))
 
 
 @main.command()
@@ -274,8 +250,8 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
     query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
                               security_bits=security, n=n)
     summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
-    conv = bounds.min_cells(query, "converse", cap=max(10 * n, 10 ** 6),
-                            summary=summary)
+    cap = max(10 * n, 10 ** 6)
+    conv = bounds.min_cells(query, "converse", cap, summary=summary)
     feasible = conv is not None and n >= conv
     record = {"cells": n, "levels": levels, "strategy": strategy,
               "attacker": attacker, "p_d": p_d, "epsilon": eps,
@@ -283,7 +259,7 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
               "gap": None if conv is None else n - conv,
               "verdict": "FEASIBLE" if feasible else "INFEASIBLE",
               **_quadrature_fields(summary)}
-    _emit(ctx, _render_record(ctx, record))
+    _emit(ctx, _render_record(ctx, record, cap))
     if not feasible:
         sys.exit(1)
 

@@ -22,9 +22,9 @@ from scipy import special
 
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
-# per_w_channels stays bound here although _conditional_mi makes the call:
-# the perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _SEARCH_NODES, _conditional_mi, _quadrature
+# per_w_channels stays bound here although _rule makes the call: the
+# perfbench tracer wraps it, and checks the wrap, in this namespace.
+from .channel import AttackerSpec, _SEARCH_NODES, _quadrature, _rule
 from .channel import per_w_channels  # noqa: F401
 from .info import entropy
 from .bounds import _asymptotic_rate
@@ -44,9 +44,10 @@ class OptimizeResult:
 
 def _rate(q: InputQuantizer, attacker: AttackerSpec, nodes: int) -> float:
     """Asymptotic rate on the one `nodes`-point rule, without the averaged
-    channel and dispersion moments a ChannelSummary would also compute."""
-    return _asymptotic_rate(attacker, _conditional_mi(q, q.model, nodes),
-                            entropy(q.probs))
+    channel and dispersion moments a ChannelSummary would also compute:
+    the objective must not switch rules between candidates."""
+    mi = _rule(q, q.model, nodes, channel=False)[1]
+    return _asymptotic_rate(attacker, mi, entropy(q.probs))
 
 
 def repair_knots(u: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ i.e. step = 20000 / levels; that convention is reproduced here.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant, make_equiprobable
@@ -263,50 +264,52 @@ def _deviations(values, ref):
     return tuple(out)
 
 
-def format_cell(value, *, human: bool, cap: int = CELL_CAP):
+def format_cell(value, fmt: str, cap: int = CELL_CAP) -> str:
+    """One table cell or record value: None as ">cap", the cap the search
+    actually used; an int as is; a float with 6 significant digits, or in
+    markdown with 3 decimals (3 significant digits for values that would
+    round to 0.000)."""
     if value is None:
         return f">{cap}"
     if isinstance(value, int):
         return str(value)
-    return f"{value:.3f}" if human else f"{value:.6g}"
+    if fmt != "markdown":
+        return f"{value:.6g}"
+    if value != 0 and abs(value) < 5e-4:
+        return f"{value:.3g}"
+    return f"{value:.3f}"
 
 
-def render_markdown(table: dict) -> str:
+def render(table: dict, fmt: str) -> str:
+    """A generated table as JSON, CSV or a markdown grid; with the compare
+    columns when its rows carry published values."""
+    if fmt == "json":
+        return json.dumps(table, indent=2, sort_keys=True)
+    md = fmt == "markdown"
     cap = table.get("cap", CELL_CAP)
-    header = ["levels"] + table["columns"]
+    cols = table["columns"]
+    header = ["levels", *cols]
     has_cmp = any("published" in r for r in table["rows"])
     if has_cmp:
-        header += [f"{c} (ref)" for c in table["columns"]]
-        header += [f"{c} (dev)" for c in table["columns"]]
-    lines = ["| " + " | ".join(header) + " |",
-             "|" + "---|" * len(header)]
+        ref_tag, dev_tag = (" (ref)", " (dev)") if md else ("_ref", "_dev")
+        header += [c + ref_tag for c in cols] + [c + dev_tag for c in cols]
+    rows = []
     for r in table["rows"]:
         cells = [str(r["levels"])]
-        cells += [format_cell(v, human=True, cap=cap) for v in r["values"]]
+        cells += [format_cell(v, fmt, cap) for v in r["values"]]
         if has_cmp:
-            ref = r.get("published") or (None,) * len(table["columns"])
-            cells += [format_cell(v, human=True, cap=cap) for v in ref]
-            dev = r.get("deviation") or (None,) * len(table["columns"])
-            cells += ["-" if d is None else f"{d:+.3%}" for d in dev]
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(table: dict) -> str:
-    cap = table.get("cap", CELL_CAP)
-    header = ["levels"] + table["columns"]
-    has_cmp = any("published" in r for r in table["rows"])
-    if has_cmp:
-        header += [f"{c}_ref" for c in table["columns"]]
-        header += [f"{c}_dev" for c in table["columns"]]
-    lines = [",".join(h.replace(" ", "_") for h in header)]
-    for r in table["rows"]:
-        cells = [str(r["levels"])]
-        cells += [format_cell(v, human=False, cap=cap) for v in r["values"]]
-        if has_cmp:
-            ref = r.get("published") or (None,) * len(table["columns"])
-            cells += [format_cell(v, human=False, cap=cap) for v in ref]
-            dev = r.get("deviation") or (None,) * len(table["columns"])
-            cells += ["" if d is None else f"{d:.6g}" for d in dev]
-        lines.append(",".join(cells))
+            ref = r.get("published") or (None,) * len(cols)
+            cells += [format_cell(v, fmt, cap) for v in ref]
+            dev = r.get("deviation") or (None,) * len(cols)
+            if md:
+                cells += ["-" if d is None else f"{d:+.3%}" for d in dev]
+            else:
+                cells += ["" if d is None else f"{d:.6g}" for d in dev]
+        rows.append(cells)
+    if md:
+        lines = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
+        lines += ["| " + " | ".join(cells) + " |" for cells in rows]
+    else:
+        lines = [",".join(h.replace(" ", "_") for h in header)]
+        lines += [",".join(cells) for cells in rows]
     return "\n".join(lines) + "\n"

@@ -1,28 +1,35 @@
 """Enumeration oracles: the independent second route for every closed-form
-dispersion in pufsec.bounds.
+dispersion in pufsec.bounds, and the plain forms of the package's kernels.
 
-Each oracle loops over the alphabet and evaluates the defining variance of
-an information density directly, so it shares no arithmetic with the
-closed forms built from a ChannelSummary's second moments.  The pmf
-builders construct the attacker-extended sources explicitly; the package
-builds no attacker channel, so these are the only ones.  The merge oracle
-is the scalar pop-stack construction of the MAP output quantizer, the
-second route for the vectorized decision borders in pufsec.quantizer, and
-the loop oracle the level-by-level form those borders must match to the
-bit;
-`decision_intervals` reads the package's own intervals off those borders
-for one helper value, for the merge oracle and the brute-force MAP rule to
-check.
+Each dispersion oracle loops over the alphabet and evaluates the defining
+variance of an information density directly, so it shares no arithmetic
+with the closed forms built from a ChannelSummary's second moments.  The
+pmf builders construct the attacker-extended sources explicitly; the
+package builds no attacker channel, so these are the only ones.
+
+The merge oracle is the scalar pop-stack construction of the MAP output
+quantizer, the second route for the vectorized decision borders in
+pufsec.quantizer, and the loop oracle the level-by-level form those borders
+must match to the bit; `decision_intervals` reads the package's own
+intervals off those borders for one helper value, for the merge oracle and
+the brute-force MAP rule to check.
+
 The dense kernels are the band-free, unblocked, unfolded forms of the
 channel stack and of I(S;S~|W=w); the package's kernels match them to the
-bit except on mirror-folded stacks, where they match to rounding.  The
-two-call sibling points and helper values are the forms the one-call
-kernels must match to the bit; the scalar sibling point reads one level of
-the sibling-point kernel, with its arguments checked, for the helper-data
-round trips.  The knot quantizer is the plain knot-to-border map, without
-the mirror symmetry the optimizer imposes on its candidates.  The full-row
-sample chunk takes the Monte-Carlo MAP argmax over all N sibling points,
-the form the windowed MAP step must match to the bit.
+bit, and the reductions `channel._rule` folds onto a mirror half match
+theirs to rounding.  The two-call sibling points and helper values are the
+forms the one-call kernels must match to the bit; the scalar sibling point
+reads one level of the sibling-point kernel, with its arguments checked,
+for the helper-data round trips.  The knot quantizer is the plain
+knot-to-border map, without the mirror symmetry the optimizer imposes on
+its candidates.  The full-row sample chunk takes the Monte-Carlo MAP argmax
+over all N sibling points, the form the windowed MAP step must match to
+the bit.
+
+The cell scan tests every n up to the cap, the second route for the
+closed-form start and integer steps of `min_cells`.  The unquantized rate
+is the data-processing ceiling p_d I(X;Y) that no quantizer's rate may
+exceed.
 """
 
 import math
@@ -297,3 +304,18 @@ def full_row_simulate_chunk(cfg, start, size):
 
     _blocks._run_blocks(job, _blocks._row_blocks(size, q.levels))
     return s, w, s_tilde, u[:, 2]
+
+
+def min_cells_scan(first, penalty, target, cap):
+    """Smallest n in 1..cap with n * max(first - penalty / sqrt(n), 0) >=
+    target, by evaluating every n, or None when no n <= cap meets it."""
+    n = np.arange(1, cap + 1, dtype=float)
+    bits = n * np.maximum(first - penalty / np.sqrt(n), 0.0)
+    hit = np.flatnonzero(bits >= target)
+    return int(hit[0]) + 1 if hit.size else None
+
+
+def unquantized_rate(model, p_d):
+    """p_d I(X;Y) = p_d / 2 log2(1 + sigma_P^2 / sigma_N^2): S, S~ and W are
+    functions of X, Y and X, so I(S;S~|W) <= I(X;Y) for every quantizer."""
+    return p_d * 0.5 * math.log2(1.0 + (model.sigma_p / model.sigma_n) ** 2)

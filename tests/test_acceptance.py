@@ -21,7 +21,7 @@ from pufsec.sim import SimConfig, leakage_test, run_simulation
 from pufsec.tables import PUBLISHED, TableSpec, generate_table
 from pufsec.stats import unit_interval_rule
 from oracles import decision_intervals, erasure_joint, oracle_v1, \
-    oracle_vc, oracle_vc_prime, random_markov
+    oracle_vc, oracle_vc_prime, random_markov, unquantized_rate
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -40,8 +40,9 @@ def test_criterion_1_rate_tables_digital_equiprobable():
     for tid, p_d in ((1, 0.1), (2, 0.18)):
         t0 = time.time()
         for n in (2, 4, 8, 16, 32):
-            rate = bounds.asymptotic_rate_digital(
-                make_equiprobable(MODEL, n), MODEL, p_d=p_d, nodes=128)
+            s = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL,
+                                         nodes=128)
+            rate = bounds.asymptotic_rate_digital(s, p_d=p_d)
             worst = max(worst, abs(rate - PUBLISHED[tid][n][2]))
         elapsed = time.time() - t0
         assert elapsed < 10.0, f"column took {elapsed:.1f}s"
@@ -51,13 +52,13 @@ def test_criterion_1_rate_tables_digital_equiprobable():
 def test_criterion_2_rate_table_analog_equiprobable():
     """Analog equiprobable lower bounds within +-0.006, incl. the collapse
     at 16 levels and exact zero at 32."""
-    worst = 0.0
-    for n in (2, 4, 8, 16):
-        lo, _ = bounds.asymptotic_rate_analog(
-            make_equiprobable(MODEL, n), MODEL, p_d=0.18, p_a=0.36, nodes=128)
-        worst = max(worst, abs(lo - PUBLISHED[2][n][3]))
-    lo32, _ = bounds.asymptotic_rate_analog(
-        make_equiprobable(MODEL, 32), MODEL, p_d=0.18, p_a=0.36, nodes=128)
+    rates = {}
+    for n in (2, 4, 8, 16, 32):
+        s = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL,
+                                     nodes=128)
+        rates[n] = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)[0]
+    worst = max(abs(rates[n] - PUBLISHED[2][n][3]) for n in (2, 4, 8, 16))
+    lo32 = rates[32]
     report(2, worst <= 0.006 and lo32 == 0.0,
            f"max |dev| = {worst:.4f}, rate(32) = {lo32}")
 
@@ -95,7 +96,8 @@ def test_criterion_4_analog_cell_tables():
     q32 = make_equiprobable(MODEL, 32)
     query32 = bounds.BoundQuery(attacker=att, quantizer=q32, epsilon=1e-6,
                                 security_bits=128)
-    ach32 = bounds.min_cells(query32, "achievability")
+    s32 = bounds.summarize_channel(q32, MODEL, nodes=128)
+    ach32 = bounds.min_cells(query32, "achievability", summary=s32)
     ok = ok and ach32 is None
 
     t8 = generate_table(TableSpec(8), MODEL, compare=True)
@@ -153,17 +155,18 @@ def test_criterion_6_optimizer(kind):
     for i, n in enumerate((2, 4, 8, 16, 32)):
         res = optimize_quantizer(MODEL, n, att, budgets[n], nodes=64)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
-        eq = make_equiprobable(MODEL, n)
+        eq = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL)
         if kind == "digital":
             rate = bounds.asymptotic_rate_digital(s, p_d=p_d)
-            base = bounds.asymptotic_rate_digital(eq, MODEL, p_d=p_d)
+            base = bounds.asymptotic_rate_digital(eq, p_d=p_d)
             paper = PUBLISHED[2][n][4]
             ok = ok and rate >= paper - 0.005
         else:
             rate = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0]
-            base = bounds.asymptotic_rate_analog(eq, MODEL, p_d=p_d,
-                                                 p_a=p_a)[0]
-        ok = ok and rate >= base - 1e-4
+            base = bounds.asymptotic_rate_analog(eq, p_d=p_d, p_a=p_a)[0]
+        # data processing: no quantizer beats p_d I(X;Y)
+        ok = ok and rate >= base - 1e-4 and res.rate <= unquantized_rate(
+            MODEL, p_d)
         details.append(f"{n}:{rate:.3f}")
     report(6, ok, f"{kind} " + " ".join(details))
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.channel import AttackerSpec
 from pufsec import bounds
-from oracles import (analog_triple, digital_triple, erasure_joint, oracle_v1,
-                     oracle_vc, oracle_vc_prime)
+from oracles import (analog_triple, digital_triple, erasure_joint,
+                     min_cells_scan, oracle_v1, oracle_vc, oracle_vc_prime)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -25,8 +26,8 @@ class TestAsymptoticRates:
         # a 2-level equiprobable quantizer at these noise levels carries
         # essentially one full bit: rate = p_d (published anchor rows)
         for p_d in (0.1, 0.18):
-            r = bounds.asymptotic_rate_digital(make_equiprobable(MODEL, 2),
-                                               MODEL, p_d=p_d)
+            r = bounds.asymptotic_rate_digital(bounds.summarize_channel(
+                make_equiprobable(MODEL, 2), MODEL), p_d=p_d)
             assert r == pytest.approx(p_d, abs=4e-4)
 
     def test_published_digital_anchors(self, summaries):
@@ -46,8 +47,8 @@ class TestAsymptoticRates:
             summaries[8], p_d=0.18), abs=1e-12)
 
     def test_analog_collapse_large_alphabet(self):
-        q = make_equiprobable(MODEL, 32)
-        lo, _ = bounds.asymptotic_rate_analog(q, MODEL, p_d=0.18, p_a=0.36)
+        s = bounds.summarize_channel(make_equiprobable(MODEL, 32), MODEL)
+        lo, _ = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)
         assert lo == 0.0
 
     def test_zero_pd_zero_rate(self, summaries):
@@ -210,30 +211,51 @@ class TestFiniteRates:
 
 
 _Q4 = make_equiprobable(MODEL, 4)
+_S4 = bounds.summarize_channel(_Q4, MODEL, nodes=16)
 _FIN = {"n": 1000, "epsilon": 1e-6, "security_bits": 128}
 DIGITAL_RATES = {
     "asymptotic_rate_digital":
-        lambda p_d: bounds.asymptotic_rate_digital(_Q4, p_d=p_d),
+        lambda p_d, s=_S4: bounds.asymptotic_rate_digital(s, p_d=p_d),
     "finite_rate_digital_ach":
-        lambda p_d: bounds.finite_rate_digital_ach(_Q4, p_d=p_d, **_FIN),
+        lambda p_d, s=_S4: bounds.finite_rate_digital_ach(s, p_d=p_d, **_FIN),
     "finite_rate_digital_conv":
-        lambda p_d: bounds.finite_rate_digital_conv(_Q4, p_d=p_d, **_FIN),
+        lambda p_d, s=_S4: bounds.finite_rate_digital_conv(s, p_d=p_d,
+                                                           **_FIN),
 }
 ANALOG_RATES = {
     "asymptotic_rate_analog":
-        lambda p_d, p_a: bounds.asymptotic_rate_analog(_Q4, p_d=p_d, p_a=p_a),
+        lambda p_d, p_a, s=_S4: bounds.asymptotic_rate_analog(s, p_d=p_d,
+                                                              p_a=p_a),
     "finite_rate_analog_ach":
-        lambda p_d, p_a: bounds.finite_rate_analog_ach(_Q4, p_d=p_d, p_a=p_a,
-                                                       **_FIN),
+        lambda p_d, p_a, s=_S4: bounds.finite_rate_analog_ach(
+            s, p_d=p_d, p_a=p_a, **_FIN),
     "finite_rate_analog_conv":
-        lambda p_d, p_a: bounds.finite_rate_analog_conv(_Q4, p_d=p_d, p_a=p_a,
-                                                        **_FIN),
+        lambda p_d, p_a, s=_S4: bounds.finite_rate_analog_conv(
+            s, p_d=p_d, p_a=p_a, **_FIN),
 }
 
 
 class TestParameterDomain:
     """Every loose-parameter rate function rejects an out-of-range
-    (p_d, p_a) with a DomainError."""
+    (p_d, p_a) with a DomainError, and every rate function and min_cells
+    reject a quantizer where they take a ChannelSummary."""
+
+    @pytest.mark.parametrize("name", sorted(DIGITAL_RATES))
+    def test_digital_rate_needs_a_summary(self, name):
+        with pytest.raises(DomainError, match="summarize_channel"):
+            DIGITAL_RATES[name](0.18, s=_Q4)
+
+    @pytest.mark.parametrize("name", sorted(ANALOG_RATES))
+    def test_analog_rate_needs_a_summary(self, name):
+        with pytest.raises(DomainError, match="summarize_channel"):
+            ANALOG_RATES[name](0.18, 0.36, s=_Q4)
+
+    def test_min_cells_needs_a_summary(self):
+        query = bounds.BoundQuery(attacker=AttackerSpec("digital", p_d=0.18),
+                                  quantizer=_Q4, epsilon=1e-6,
+                                  security_bits=128)
+        with pytest.raises(DomainError, match="summarize_channel"):
+            bounds.min_cells(query, "converse", summary=_Q4)
 
     @pytest.mark.parametrize("name", sorted(DIGITAL_RATES))
     @pytest.mark.parametrize("p_d", [-0.1, 1.5, math.nan])
@@ -287,7 +309,8 @@ class TestMinCells:
         att = AttackerSpec("analog", p_d=0.18, p_a=0.36)
         query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=1e-6,
                                   security_bits=128)
-        assert bounds.min_cells(query, "achievability", nodes=64) is None
+        s = bounds.summarize_channel(q, MODEL, nodes=64)
+        assert bounds.min_cells(query, "achievability", summary=s) is None
 
     def test_query_validation(self):
         q = make_equiprobable(MODEL, 4)
@@ -300,6 +323,59 @@ class TestMinCells:
         with pytest.raises(DomainError):
             bounds.BoundQuery(attacker=att, quantizer=q, epsilon=2.0,
                               security_bits=128)
+
+
+@st.composite
+def _cell_queries(draw):
+    """A summary at N = 2..64 with a query against it: either attacker,
+    epsilon up to 0.999 (a negative penalty), lambda or an explicit delta,
+    and p_d = 0 or a large analog alphabet (first-order term <= 0)."""
+    levels = draw(st.integers(2, 64))
+    model = PufModel(2241.0, draw(st.floats(30.0, 600.0)))
+    if draw(st.booleans()):
+        q = make_equiprobable(model, levels)
+    else:
+        q = make_equidistant(model, levels, 20000.0 / levels)
+    p_d = 0.0 if draw(st.integers(0, 5)) == 0 else draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        att = AttackerSpec("digital", p_d=p_d)
+    else:
+        att = AttackerSpec("analog", p_d=p_d, p_a=draw(st.floats(p_d, 1.0)))
+    eps = draw(st.one_of(st.floats(1e-12, 1e-3), st.floats(0.5, 0.999)))
+    if draw(st.booleans()):
+        # 2^-lambda < 1 - epsilon
+        low = max(1.0, -1.001 * math.log2(1.0 - eps))
+        bound = {"security_bits": draw(st.floats(low, 256.0))}
+    else:
+        bound = {"delta": (1.0 - eps) * draw(st.floats(1e-9, 0.999))}
+    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps, **bound)
+    return query, bounds.summarize_channel(q, model, nodes=16)
+
+
+class TestMinCellsSearch:
+    """min_cells starts at the closed-form root and settles the rounding
+    with integer steps; a linear scan of every n is the second route."""
+
+    @given(_cell_queries(),
+           st.sampled_from(("achievability", "converse")),
+           st.sampled_from((1, 300, 200_000)).flatmap(
+               lambda top: st.integers(max(top // 300, 1), top)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_linear_scan(self, drawn, direction, cap):
+        query, s = drawn
+        first, penalty = bounds._rate_terms(
+            query.attacker, direction, s, query.epsilon, query.delta,
+            query.security_bits)
+        target = query.target_bits
+        got = bounds.min_cells(query, direction, cap, summary=s)
+        # a first-order term <= 0 is infeasible, even where a negative
+        # penalty lets n * rate(n) reach a small target at small n
+        assert got == (min_cells_scan(first, penalty, target, cap)
+                       if first > 0.0 else None)
+        if got is not None and got > 1:
+            # a cap one below the answer cuts it off
+            assert bounds.min_cells(query, direction, got - 1,
+                                    summary=s) is None
 
 
 class TestAnalogTables:

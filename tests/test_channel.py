@@ -14,7 +14,7 @@ from pufsec.quantizer import (InputQuantizer, make_equidistant,
 import pufsec
 from pufsec import _blocks, bounds, channel, info, quantizer, stats
 from pufsec.channel import (_PHI_ONE, _PHI_ZERO, AttackerSpec, ChannelMatrix,
-                            _conditional_mi, _mi_per_node, _mirror_half,
+                            _mi_per_node, _mirror_half, _rule,
                             averaged_channel, per_w_channels)
 from pufsec.info import entropy, mutual_information
 from pufsec.optimize import _symmetric_quantizer
@@ -155,11 +155,27 @@ def _optimizer_candidate(seed):
     return _symmetric_quantizer(model, h, levels)
 
 
+def _rule_rows(monkeypatch, q, nodes):
+    """Node counts of the stacks `_rule` has per_w_channels compute."""
+    rows = []
+    real = channel.per_w_channels
+
+    def spy(q, ws, model=None):
+        rows.append(len(ws))
+        return real(q, ws, model)
+
+    monkeypatch.setattr(channel, "per_w_channels", spy)
+    _rule(q, q.model, nodes)
+    return rows
+
+
 class TestMirrorFold:
-    """On mirror-symmetric quantizers and Gauss-Legendre nodes the kernel
-    evaluates half the nodes and mirrors the rest (see DECISIONS.md, "The
-    mirror-folded channel kernel").  The folded stack equals the dense,
-    unfolded one up to rounding; everything else stays bit-identical."""
+    """On mirror-symmetric quantizers and Gauss-Legendre nodes `_rule`
+    evaluates half the nodes and folds the other half onto them (see
+    DECISIONS.md, "The mirror-folded channel kernel").  Its averaged channel
+    and I(S;S~|W) equal the dense oracle's reductions of the full stack up
+    to rounding; per_w_channels itself never folds and matches the dense
+    stack to the bit."""
 
     NODES = (16, 17, 64, 128, 256)
 
@@ -170,11 +186,15 @@ class TestMirrorFold:
             # TestBandKernel)
             if k * q.levels ** 2 > 128 * 256 ** 2:
                 continue
-            xs, _ = unit_interval_rule(k)
+            xs, wts = unit_interval_rule(k)
             assert _mirror_half(q, xs) == (k + 1) // 2
+            dense = dense_per_w_channels(q, xs)
             mats = per_w_channels(q, xs)
-            assert np.max(np.abs(mats - dense_per_w_channels(q, xs))) <= 2e-14
+            assert np.array_equal(mats, dense)
             assert np.max(np.abs(mats.sum(axis=2) - 1.0)) <= 1e-12
+            p, mi = _rule(q, q.model, k)
+            assert np.max(np.abs(p - np.tensordot(wts, dense, axes=1))) <= 2e-14
+            assert abs(mi - wts @ dense_mi_per_node(dense, q.probs)) <= 1e-14
 
     @pytest.mark.parametrize("levels", (2, 3, 4, 5, 8, 16, 32, 64, 128, 256))
     @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
@@ -185,8 +205,8 @@ class TestMirrorFold:
     def test_optimizer_candidates_fold_to_dense(self, seed):
         self.assert_folded_close(_optimizer_candidate(seed))
 
-    def test_no_fold_without_exact_symmetry(self):
-        xs, _ = unit_interval_rule(64)
+    def test_no_fold_without_exact_symmetry(self, monkeypatch):
+        xs, wts = unit_interval_rule(64)
         asym = InputQuantizer.from_borders(
             MODEL, MODEL.sigma_p * np.array([-1.0, -0.2, 0.4, 1.3]))
         # one ulp off antisymmetric is enough to take the unfolded path
@@ -195,8 +215,12 @@ class TestMirrorFold:
             MODEL, np.nextafter(ep.inner_borders, np.inf))
         for q in (asym, near):
             assert _mirror_half(q, xs) == 64
-            assert np.array_equal(per_w_channels(q, xs),
-                                  dense_per_w_channels(q, xs))
+            assert _rule_rows(monkeypatch, q, 64) == [64]
+            # unfolded, the reductions are the dense ones to the bit
+            dense = dense_per_w_channels(q, xs)
+            p, mi = _rule(q, q.model, 64)
+            assert np.array_equal(p, np.tensordot(wts, dense, axes=1))
+            assert mi == float(wts @ dense_mi_per_node(dense, q.probs))
         # symmetric quantizer, but arange(K)/K forms no mirror pairs
         ws = np.arange(64) / 64
         assert _mirror_half(ep, ws) == 64
@@ -221,19 +245,13 @@ class TestMirrorFold:
             assert _mirror_half(q, xs) == (nodes + 1) // 2
             dense = wts @ dense_mi_per_node(dense_per_w_channels(q, xs),
                                             q.probs)
-            assert abs(_conditional_mi(q, q.model, nodes) - dense) <= 1e-14
+            # the optimizer's objective: the folded I alone
+            assert abs(_rule(q, q.model, nodes, channel=False)[1]
+                       - dense) <= 1e-14
 
     def test_fold_evaluates_half_the_sibling_points(self, monkeypatch):
-        rows = []
-
-        def spy(q, w):
-            rows.append(np.shape(w)[0])
-            return sibling_points(q, w)
-
-        monkeypatch.setattr(channel, "sibling_points", spy)
-        xs, _ = unit_interval_rule(128)
-        per_w_channels(make_equiprobable(MODEL, 64), xs)
-        assert rows == [64]
+        q = make_equiprobable(MODEL, 64)
+        assert _rule_rows(monkeypatch, q, 128) == [64]
 
 
 class TestNodePool:
@@ -246,7 +264,7 @@ class TestNodePool:
     def assert_pool_matches_inline(monkeypatch, q, ws, nodes=None):
         def results():
             mats = per_w_channels(q, ws)
-            mi = (_conditional_mi(q, q.model, nodes) if nodes
+            mi = (_rule(q, q.model, nodes, channel=False)[1] if nodes
                   else _mi_per_node(mats, q.probs))
             return mats, mi
 
@@ -377,7 +395,7 @@ class TestQuadrature:
         p_half, mi_half = channel._rule(q, q.model, k // 2)
         assert np.array_equal(s.joint,
                               np.clip(q.probs[:, None] * p, 0.0, None))
-        assert s.i_cond == mi == _conditional_mi(q, q.model, k)
+        assert s.i_cond == mi == _rule(q, q.model, k, channel=False)[1]
         assert s.metadata["refinement_delta"] == np.max(np.abs(p - p_half))
         assert s.metadata["mi_refinement_delta"] == abs(mi - mi_half)
         # the folded reduction is the full stack's, up to rounding

@@ -137,6 +137,18 @@ class TestCells:
                    "equiprobable", "--eps", "1e-6", "--security", "128")
         assert ">20000" in res2.output
 
+    def test_infeasible_shows_the_searched_cap(self, runner):
+        # 1508 and 459 cells lie above a cap of 100, and 1508 above 1000
+        res = run(runner, "cells", "--attacker", "digital", "--pd", "0.18",
+                  "--levels", "8", "--security", "128", "--cap", "100")
+        lines = res.output.splitlines()
+        assert "cells_ach            >100" in lines
+        assert "cells_conv           >100" in lines
+        res = run(runner, "--format", "csv", "cells", "--attacker",
+                  "digital", "--pd", "0.18", "--levels", "8", "--security",
+                  "128", "--cap", "1000")
+        assert ",>1000,459," in res.output
+
     def test_security_zero_rejected(self, runner):
         res = run(runner, "cells", "--attacker", "digital", "--pd", "0.18",
                   "--levels", "8", "--security", "0")
@@ -156,7 +168,7 @@ QUERIES = {
 @pytest.mark.parametrize("args", QUERIES.values(), ids=QUERIES)
 def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
                                                     args):
-    # every summary the command builds, min_cells' own included
+    # every summary the command builds: min_cells takes this one
     summaries = []
     real = bounds.summarize_channel
 
@@ -246,6 +258,15 @@ class TestTable:
         assert res.exit_code == 0
         assert res.output.startswith("| levels |")
 
+    def test_markdown_shows_small_rates(self, runner):
+        # the equiprobable analog rate is 0.000199 (CSV 0.000199467): three
+        # decimals would print it as 0.000, so it gets three digits
+        res = run(runner, "table", "--id", "2", "--override", "levels=32",
+                  "--override", "pa=0.420339")
+        assert res.exit_code == 0
+        row = res.output.splitlines()[2].split(" | ")
+        assert row[4] == "0.000199"
+
 
 class TestAudit:
     def test_infeasible_exit_1(self, runner):
@@ -260,6 +281,13 @@ class TestAudit:
                   "--pd", "0.18", "--eps", "1e-6", "--security", "128")
         assert res.exit_code == 0
         assert "FEASIBLE" in res.output
+
+    def test_infeasible_shows_the_searched_cap(self, runner):
+        # audit searches up to max(10 n, 10^6) cells
+        res = run(runner, "audit", "--cells", "1", "--levels", "8",
+                  "--security", "1e9")
+        assert res.exit_code == 1
+        assert "converse_min_cells   >1000000" in res.output.splitlines()
 
     def test_huge_n_feasible(self, runner):
         res = run(runner, "audit", "--cells", "1000000", "--levels", "8",

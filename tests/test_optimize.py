@@ -9,7 +9,7 @@ from pufsec.optimize import (KNOT_MARGIN, best_equidistant_step,
                              optimize_quantizer, repair_knots)
 from pufsec import bounds, channel, optimize
 from pufsec.stats import unit_interval_rule
-from oracles import quantizer_from_knots
+from oracles import quantizer_from_knots, unquantized_rate
 
 MODEL = PufModel(2241.0, 129.0)
 DIGITAL = AttackerSpec("digital", p_d=0.18)
@@ -45,9 +45,9 @@ class TestEquidistantStep:
         # range convention used by the published tables
         from pufsec.quantizer import make_equidistant
         step, rate = best_equidistant_step(MODEL, 8, DIGITAL, nodes=64)
-        fixed = bounds.asymptotic_rate_digital(
-            make_equidistant(MODEL, 8, 20000.0 / 8), MODEL, p_d=0.18,
-            nodes=64)
+        fixed = bounds.asymptotic_rate_digital(bounds.summarize_channel(
+            make_equidistant(MODEL, 8, 20000.0 / 8), MODEL, nodes=64),
+            p_d=0.18)
         assert rate >= fixed - 1e-9
 
     def test_analog_objective(self):
@@ -61,12 +61,22 @@ class TestEquidistantStep:
             best_equidistant_step(MODEL, 1, DIGITAL)
 
 
+def _summary(q, nodes=128):
+    return bounds.summarize_channel(q, MODEL, nodes=nodes)
+
+
+def _below_unquantized(res):
+    # data processing: no quantizer's rate exceeds p_d I(X;Y)
+    return res.rate <= unquantized_rate(MODEL, res.objective.p_d)
+
+
 class TestOptimizer:
     @pytest.mark.parametrize("n,paper", [(2, 0.18), (4, 0.36), (8, 0.537)])
     def test_digital_small_alphabets(self, n, paper):
         res = optimize_quantizer(MODEL, n, DIGITAL, budget=400, nodes=64)
         equiprob = bounds.asymptotic_rate_digital(
-            make_equiprobable(MODEL, n), MODEL, p_d=0.18, nodes=64)
+            _summary(make_equiprobable(MODEL, n), 64), p_d=0.18)
+        assert _below_unquantized(res)
         assert res.rate >= equiprob - 1e-4
         assert res.rate >= paper - 0.005
         assert res.quantizer.levels == n
@@ -76,31 +86,35 @@ class TestOptimizer:
         # the optimizer must recover a substantially better quantizer
         res = optimize_quantizer(MODEL, 16, ANALOG, budget=800, nodes=64)
         assert res.rate > 0.55
+        assert _below_unquantized(res)
 
     def test_rate_is_the_asymptotic_rate(self):
         # one rate formula: the objective is exactly the public asymptotic
         # rate (the lower bound for the analog attacker) at the search nodes
         dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
         assert dig.rate == bounds.asymptotic_rate_digital(
-            dig.quantizer, p_d=0.18, nodes=64)
+            _summary(dig.quantizer, 64), p_d=0.18)
         ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200, nodes=64)
         assert ana.rate == bounds.asymptotic_rate_analog(
-            ana.quantizer, p_d=0.18, p_a=0.36, nodes=64)[0]
+            _summary(ana.quantizer, 64), p_d=0.18, p_a=0.36)[0]
+        assert _below_unquantized(dig) and _below_unquantized(ana)
 
     def test_default_nodes_give_the_public_rate(self):
         # with no nodes argument the reported rate is read on the same
-        # 128-node cap as the public asymptotic rates' default
+        # 128-node cap as summarize_channel's default
         dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60)
-        assert dig.rate == bounds.asymptotic_rate_digital(dig.quantizer,
-                                                          p_d=0.18)
+        assert dig.rate == bounds.asymptotic_rate_digital(
+            bounds.summarize_channel(dig.quantizer), p_d=0.18)
         ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
         assert ana.rate == bounds.asymptotic_rate_analog(
-            ana.quantizer, p_d=0.18, p_a=0.36)[0]
+            bounds.summarize_channel(ana.quantizer), p_d=0.18, p_a=0.36)[0]
+        assert _below_unquantized(dig) and _below_unquantized(ana)
 
     def test_budget_accounting(self):
         res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64)
         assert res.evaluations >= 4          # at least the start ranking
         assert res.rate > 0.0
+        assert _below_unquantized(res)
 
     @pytest.mark.parametrize("levels,budget", [(16, 30), (32, 60), (8, 20)])
     def test_budget_is_a_hard_cap(self, levels, budget):
@@ -108,6 +122,7 @@ class TestOptimizer:
                                  nodes=64)
         assert res.evaluations <= max(budget, 2)
         assert res.budget_exhausted == (res.evaluations >= budget)
+        assert _below_unquantized(res)
 
     def test_deterministic(self):
         a = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)

@@ -1,7 +1,8 @@
 """Package-level invariants: the cell tables, the Monte-Carlo reports and
 the sample dump the CLI writes stay byte for byte the recorded ones, the
 package version is the released one, each command loads only the SciPy
-subpackages it uses, and every public name has a caller outside the tests.
+subpackages it uses, and every public name and every top-level function
+and class has a caller outside the tests.
 
 A deliberate change to a file under tests/golden/ is logged in CHANGES.md
 with the reason the numbers moved.
@@ -116,11 +117,29 @@ def _referenced_names(path):
     return names
 
 
+def _is_click_command(decorator):
+    """`@main.command(...)` or `@click.group(...)`: click calls these."""
+    return (isinstance(decorator, ast.Call)
+            and isinstance(decorator.func, ast.Attribute)
+            and decorator.func.attr in ("command", "group"))
+
+
+def _top_level_defs(path):
+    """Names of a module's top-level functions and classes, private ones
+    included, except click commands."""
+    return {stmt.name for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not any(map(_is_click_command, stmt.decorator_list))}
+
+
 def test_every_public_name_has_a_non_test_caller():
     # the public package holds no code that only tests call: each exported
-    # name is used by another package module or by the benchmark harness
-    files = [f for f in sorted((ROOT / "src" / "pufsec").glob("*.py"))
-             if f.name != "__init__.py"]
+    # name, and each top-level function and class of every module, is used
+    # by a package module or by the benchmark harness
+    modules = sorted((ROOT / "src" / "pufsec").glob("*.py"))
+    files = [f for f in modules if f.name != "__init__.py"]
     files += sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*map(_referenced_names, files))
     assert sorted(set(pufsec.__all__) - used) == []
+    defs = set().union(*map(_top_level_defs, modules))
+    assert sorted(defs - used) == []

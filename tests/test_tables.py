@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 import pytest
@@ -10,7 +9,8 @@ from pufsec.channel import AttackerSpec
 from pufsec.tables import (CAPTIONS, CELL_COLUMNS, CELL_LEVELS, PUBLISHED,
                            RATE_COLUMNS, RATE_LEVELS, TableSpec,
                            equidistant_reference, generate_table,
-                           optimized_quantizer, render_csv, render_markdown)
+                           optimized_quantizer, render)
+from oracles import unquantized_rate
 
 MODEL = PufModel()
 
@@ -91,17 +91,17 @@ class TestGeneration:
         assert row["deviation"][0] is None
 
     def test_renderers(self, table4):
-        md = render_markdown(table4)
+        md = render(table4, "markdown")
         assert md.startswith("| levels |")
         assert "(dev)" in md
-        csv = render_csv(table4)
+        csv = render(table4, "csv")
         lines = csv.strip().splitlines()
         assert len(lines) == 1 + len(table4["rows"])
         assert "ach_128_dev" in lines[0]
 
     def test_cap_convention_in_render(self):
         t = generate_table(TableSpec(7, {"levels": [64]}), PufModel())
-        assert ">20000" in render_markdown(t)
+        assert ">20000" in render(t, "markdown")
 
 
 # Table 2, N = 64, equiprobable digital reads 0.71652 against a published
@@ -119,9 +119,12 @@ def test_non_optimized_rate_cells_match_published(levels):
         s = bounds.summarize_channel(q, MODEL)
         for tid in (1, 2):
             p_d, p_a = CAPTIONS[tid]["p_d"], CAPTIONS[tid]["p_a"]
+            lower, upper = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
+            # data processing: not even the analog upper bound exceeds
+            # p_d I(X;Y)
+            assert upper <= unquantized_rate(MODEL, p_d), (tid, strategy)
             got = {"digital": bounds.asymptotic_rate_digital(s, p_d=p_d),
-                   "analog": bounds.asymptotic_rate_analog(
-                       s, p_d=p_d, p_a=p_a)[0]}
+                   "analog": lower}
             for attacker, rate in got.items():
                 col = f"{strategy} {attacker}"
                 key = (tid, levels, col)
@@ -143,12 +146,11 @@ def test_optimized_rate_cells_reach_published(tid):
     table = generate_table(TableSpec(tid, {"levels": [2, 4, 8, 16]}))
     # the CSV of `pufsec --format csv table --id 1|2 --override
     # levels=2;4;8;16`, byte for byte: it pins the optimizer's search
-    assert render_csv(table).encode() == \
+    assert render(table, "csv").encode() == \
         (GOLDEN / f"table_{tid}_small.csv").read_bytes()
     # data processing: S, S~ and W are functions of X, Y and X, so no
     # quantizer's rate exceeds p_d * I(X;Y) = p_d/2 * log2(1 + SNR)
-    p_d = CAPTIONS[tid]["p_d"]
-    limit = p_d * 0.5 * math.log2(1.0 + (MODEL.sigma_p / MODEL.sigma_n) ** 2)
+    limit = unquantized_rate(MODEL, CAPTIONS[tid]["p_d"])
     for row in table["rows"]:
         assert all(v <= limit for v in row["values"]), row
         for attacker in ("digital", "analog"):
@@ -166,10 +168,13 @@ def test_optimized_cell_is_the_public_rate_of_its_quantizer():
     # public rate of the returned quantizer at the table's own node cap
     dig = AttackerSpec("digital", p_d=0.18)
     ana = AttackerSpec("analog", p_d=0.18, p_a=0.36)
+    limit = unquantized_rate(MODEL, 0.18)
     for levels in (4, 8):
         res = optimized_quantizer(MODEL, levels, dig, 128)
-        assert res.rate == bounds.asymptotic_rate_digital(
-            res.quantizer, MODEL, p_d=0.18, nodes=128)
+        s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
+        assert res.rate == bounds.asymptotic_rate_digital(s, p_d=0.18)
         res = optimized_quantizer(MODEL, levels, ana, 128)
-        assert res.rate == bounds.asymptotic_rate_analog(
-            res.quantizer, MODEL, p_d=0.18, p_a=0.36, nodes=128)[0]
+        s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
+        lower, upper = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)
+        assert res.rate == lower
+        assert upper <= limit
