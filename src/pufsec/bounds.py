@@ -360,15 +360,24 @@ def min_cells(query: BoundQuery, direction: str,
     size in bits, or None (infeasible) when there is none or first <= 0.
 
     rate(n) = first - penalty / sqrt(n) is the query's achievability or
-    converse bound on `summary`.  With t = sqrt(n), the search starts at
-    the square of the positive root of first t^2 - penalty t = target,
-    rounded up; integer steps settle the rounding with the predicate, which
-    is monotone as n * rate(n) increases wherever it is positive
-    (DECISIONS.md, "Closed-form min_cells").
+    converse bound on `summary`, which must summarize the query's
+    quantizer under that quantizer's model (else a DomainError).  With
+    t = sqrt(n), the search starts at the square of the positive root of
+    first t^2 - penalty t = target, rounded up; integer steps settle the
+    rounding with the predicate, which is monotone as n * rate(n)
+    increases wherever it is positive (DECISIONS.md, "Closed-form
+    min_cells").
     """
     if cap < 1:
         raise DomainError(f"cap must be >= 1, got {cap}")
     _check_summary(summary)
+    q, sq = query.quantizer, summary.quantizer
+    # identity first: every caller in the package passes the query's own
+    same_q = sq is q or (sq.model == q.model
+                         and np.array_equal(sq.borders, q.borders))
+    if not (same_q and (summary.model is q.model or summary.model == q.model)):
+        raise DomainError("the summary is of another quantizer or model "
+                          "than the query")
     first, penalty = _rate_terms(query.attacker, direction, summary,
                                  query.epsilon, query.delta,
                                  query.security_bits)

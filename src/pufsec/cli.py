@@ -69,14 +69,27 @@ def _quadrature_fields(summary) -> dict:
             "quadrature_warning": m["quadrature_warning"]}
 
 
+# record fields holding a searched cell count, where None means none <= cap
+_CELL_COUNTS = ("cells_ach", "cells_conv", "converse_min_cells")
+
+
 def _render_record(ctx, record: dict, cap: int = tables.CELL_CAP) -> str:
     """A query record as JSON, CSV or aligned lines; a cell count of None
-    reads ">cap", the cap the query searched."""
+    reads ">cap", the cap the query searched, and any other None (the
+    audit's gap when there is no count) reads as absent: "-" in markdown,
+    empty in CSV."""
     fmt = ctx.obj["fmt"]
     if fmt == "json":
         return json.dumps(record, indent=2, sort_keys=True)
-    vals = [tables.format_cell(v, fmt, cap) if isinstance(v, (int, float))
-            or v is None else str(v) for v in record.values()]
+
+    def show(key, v):
+        if v is None and key not in _CELL_COUNTS:
+            return "-" if fmt == "markdown" else ""
+        if v is None or isinstance(v, (int, float)):
+            return tables.format_cell(v, fmt, cap)
+        return str(v)
+
+    vals = [show(k, v) for k, v in record.items()]
     if fmt == "csv":
         return ",".join(record) + "\n" + ",".join(vals)
     width = max(len(k) for k in record)

@@ -24,7 +24,9 @@ for the helper-data round trips.  The knot quantizer is the plain
 knot-to-border map, without the mirror symmetry the optimizer imposes on
 its candidates.  The full-row sample chunk takes the Monte-Carlo MAP argmax
 over all N sibling points, the form the windowed MAP step must match to
-the bit.
+the bit.  The leakage samples are W | S = s of every level drawn in one
+unchunked call, the samples the leakage test's KS statistics must be
+scipy's on.
 
 The cell scan tests every n up to the cap, the second route for the
 closed-form start and integer steps of `min_cells`.  The unquantized rate
@@ -304,6 +306,26 @@ def full_row_simulate_chunk(cfg, start, size):
 
     _blocks._run_blocks(job, _blocks._row_blocks(size, q.levels))
     return s, w, s_tilde, u[:, 2]
+
+
+def leakage_samples(cfg, helper):
+    """Per-level helper values W | S = s of all cfg.samples draws, taken
+    in one call: the zero-leakage helper value, or the center-distance
+    control's linear position within the interval's finite part (the
+    outer intervals end 3 sigma_P beyond their inner border)."""
+    q = cfg.quantizer
+    x = cfg.model.sigma_p * special.ndtri(_uniforms(cfg.seed, 0,
+                                                    cfg.samples)[:, 0])
+    if helper == "zero-leakage":
+        s, w = helper_values(q, x)
+    else:
+        s = np.searchsorted(q.inner_borders, x, side="right")
+        edges = q.borders.copy()
+        edges[0] = q.borders[1] - 3 * cfg.model.sigma_p
+        edges[-1] = q.borders[-2] + 3 * cfg.model.sigma_p
+        w = np.clip((x - edges[s]) / (edges[s + 1] - edges[s]), 0.0,
+                    np.nextafter(1.0, 0.0))
+    return [w[s == t] for t in range(q.levels)]
 
 
 def min_cells_scan(first, penalty, target, cap):

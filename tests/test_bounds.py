@@ -304,6 +304,24 @@ class TestMinCells:
                             if n * max(first - pen / math.sqrt(n), 0.0) >= lam)
                 assert got == scan
 
+    def test_summary_of_another_quantizer_rejected(self):
+        # a 4-level query read off the 8-level summary gave that summary's
+        # 459 cells, where its own summary gives 606
+        q4, q8 = make_equiprobable(MODEL, 4), make_equiprobable(MODEL, 8)
+        query = bounds.BoundQuery(attacker=AttackerSpec("digital", p_d=0.18),
+                                  quantizer=q4, epsilon=1e-6,
+                                  security_bits=128)
+        assert bounds.min_cells(query, "converse", summary=bounds.
+                                summarize_channel(q4, MODEL)) == 606
+        wrong = [bounds.summarize_channel(q8, MODEL),
+                 bounds.summarize_channel(q4, PufModel(2241.0, 200.0))]
+        for s in wrong:
+            with pytest.raises(DomainError, match="another quantizer"):
+                bounds.min_cells(query, "converse", summary=s)
+        # an equal quantizer built anew is the same quantizer
+        twin = bounds.summarize_channel(make_equiprobable(MODEL, 4), MODEL)
+        assert bounds.min_cells(query, "converse", summary=twin) == 606
+
     def test_infeasible_returns_none(self):
         q = make_equiprobable(MODEL, 32)
         att = AttackerSpec("analog", p_d=0.18, p_a=0.36)

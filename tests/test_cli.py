@@ -289,6 +289,19 @@ class TestAudit:
         assert res.exit_code == 1
         assert "converse_min_cells   >1000000" in res.output.splitlines()
 
+    def test_absent_gap_reads_absent(self, runner):
+        # no converse count up to the cap means no gap, not a cell count
+        args = ("audit", "--cells", "1", "--levels", "8", "--security",
+                "1e9")
+        md = run(runner, *args).output.splitlines()
+        assert "gap                  -" in md
+        csv = run(runner, "--format", "csv", *args).output.splitlines()
+        row = dict(zip(csv[0].split(","), csv[1].split(",")))
+        assert row["converse_min_cells"] == ">1000000"
+        assert row["gap"] == ""
+        data = json.loads(run(runner, "--format", "json", *args).output)
+        assert data["converse_min_cells"] is None and data["gap"] is None
+
     def test_huge_n_feasible(self, runner):
         res = run(runner, "audit", "--cells", "1000000", "--levels", "8",
                   "--pd", "0.18", "--eps", "1e-6", "--security", "128")

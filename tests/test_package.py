@@ -84,11 +84,13 @@ print(json.dumps([m for m in {heavy!r} if m in sys.modules]))
     (["cells", "--attacker", "digital", "--pd", "0.18", "--levels", "8",
       "--security", "128"], [], HEAVY),
     (["--format", "csv", "table", "--id", "3"], [], HEAVY),
-    # scipy.stats itself imports scipy.optimize
-    (["simulate", "--levels", "4", "--samples", "2000"], ["scipy.stats"], []),
+    (["simulate", "--levels", "4", "--samples", "2000"], [], HEAVY),
+    (["simulate", "--levels", "8", "--strategy", "equidistant", "--samples",
+      "2000", "--negative-control", "center-distance"], [], HEAVY),
     (["optimize", "--attacker", "digital", "--pd", "0.18", "--levels", "3",
       "--budget", "10"], ["scipy.optimize"], ["scipy.stats"]),
-], ids=["import", "cells", "table-3", "simulate", "optimize"])
+], ids=["import", "cells", "table-3", "simulate", "simulate-control",
+        "optimize"])
 def test_commands_load_only_what_they_use(args, loads, avoids):
     # a fresh interpreter per command: importing scipy.stats or
     # scipy.optimize costs most of a cold start, so only the commands that

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy import special
+from scipy import special, stats as scistats
 
 import pufsec
 from pufsec import _blocks, bounds, quantizer, sim as sim_mod, stats
@@ -18,7 +18,7 @@ from pufsec.sim import (SimConfig, attacker_observations, leakage_test,
                         run_simulation)
 from pufsec.info import mutual_information
 from blockpool import pooled_crowded_inline, spy_public_calls, spy_threads
-from oracles import full_row_simulate_chunk
+from oracles import full_row_simulate_chunk, leakage_samples
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -146,6 +146,29 @@ class TestLeakage:
         with pytest.raises(DomainError):
             leakage_test(cfg, helper="bogus")
 
+    @pytest.mark.parametrize("helper", ["zero-leakage", "center-distance"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_matches_scipy_kstest(self, n, helper):
+        # the statistic is scipy's exact-method one and the p-value its
+        # asymptotic one, to the bit (DECISIONS.md, "Asymptotic Kolmogorov
+        # p-values in the leakage test"); 100,000 samples span two chunks
+        # and leave the outer levels of both quantizers under-sampled
+        q = make_equidistant(MODEL, n, 20000.0 / n)
+        cfg = SimConfig(MODEL, q, samples=100_000, seed=13)
+        res = leakage_test(cfg, helper=helper)
+        samples = leakage_samples(cfg, helper)
+        assert res[0]["under_sampled"] and res[0]["samples"] == samples[0].size
+        assert res[0]["statistic"] is res[0]["p_value"] is None
+        tested = [t for t in res if not res[t]["under_sampled"]]
+        assert len(tested) >= n // 2
+        for t in tested:
+            ws = samples[t]
+            assert res[t]["samples"] == ws.size >= 100
+            assert res[t]["statistic"] == scistats.kstest(
+                ws, "uniform").statistic
+            assert res[t]["p_value"] == scistats.kstest(
+                ws, "uniform", method="asymp").pvalue
+
 
 class TestAttackerObservations:
     def test_digital_erasure_fraction(self):
@@ -221,8 +244,8 @@ class TestBlockPool:
         for n, sigma_n in ((8, 129.0), (64, 400.0)):
             workers = set()
             ndtri = spy_threads(special.ndtri, workers)
-            monkeypatch.setattr(sim_mod, "special",
-                                types.SimpleNamespace(ndtri=ndtri))
+            monkeypatch.setattr(sim_mod, "special", types.SimpleNamespace(
+                ndtri=ndtri, kolmogorov=special.kolmogorov))
             self.outputs(n, sigma_n)
             assert calls and set(calls) == {main_thread}
             assert len(workers) > 1
