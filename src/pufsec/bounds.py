@@ -8,9 +8,10 @@ resulting numbers are the ones tabulated by the package.
 Dispersion (second-order) terms are evaluated on the helper-data-averaged
 joint P(S, S~); first-order terms use the conditional mutual information
 I(S; S~ | W) except for the digital achievability bound, whose statement
-uses the averaged I(S; S~).  The two differ by less than 1e-3 bits for
-every configuration this package tabulates, and the difference is tracked
-as a regression quantity in the test suite.
+uses the averaged I(S; S~).  Zero leakage, I(S; W) = 0, makes
+I(S; S~ | W) = I(S; S~, W) >= I(S; S~); on the tabulated quantizers at the
+default model the gap stays below 1.3e-3 bits (1.235e-3 at equiprobable
+N = 32), a bound the test suite checks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .quantizer import InputQuantizer
 # per_w_channels stays bound here although _quadrature makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
 from .channel import AttackerSpec, _quadrature, per_w_channels  # noqa: F401
-from .info import entropy, mutual_information
+from .info import _log_ratios, entropy
 
 LOG2_CAP_DEFAULT = 20000
 
@@ -71,44 +72,28 @@ class ChannelSummary:
 
 def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
                       nodes: int = 128) -> ChannelSummary:
+    """Summary of q under `model` on the error-controlled quadrature chain
+    ending at `nodes`.  Every information moment is a sum over the averaged
+    joint of the density L = log2 P(s~|s) / P(s~) from `info._log_ratios`:
+    i_avg of joint * L, c2 of joint * L^2, d2_per_s from the row sums
+    P_S(s) D(P_{S~|S=s} || P_S~) of joint * L, and a2 of
+    joint * (L + log2(|S| P_S))^2."""
     model = model or q.model
     avg, i_cond = _quadrature(q, model, nodes)
     probs = q.probs
-    joint = probs[:, None] * avg.p
-    joint = np.clip(joint, 0.0, None)
-    marg = joint.sum(axis=0)
-    n_levels = q.levels
-
-    nz = joint > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log2 of the three reference ratios, on the joint support only.
-        lr_unif = np.log2(joint[nz] * n_levels /
-                          np.broadcast_to(marg, joint.shape)[nz])
-        lr_cond = np.log2(
-            (joint / probs[:, None])[nz] /
-            np.broadcast_to(marg, joint.shape)[nz])
-    w = joint[nz]
-    a2 = float(w @ lr_unif ** 2)
-    c2 = float(w @ lr_cond ** 2)
-
-    # per-s divergences D(P_{S~|S=s} || P_S~)
-    d2 = 0.0
-    for s in range(n_levels):
-        row = joint[s] / probs[s]
-        m = row > 0
-        d_s = float(row[m] @ np.log2(row[m] / marg[m]))
-        d2 += probs[s] * d_s ** 2
-
-    pnz = probs > 0
-    b2 = float(probs[pnz] @ np.log2(probs[pnz] * n_levels) ** 2)
-
+    joint, lr = _log_ratios(np.clip(avg.p, 0.0, None), probs)
+    dens = joint * lr
+    log_unif = np.log2(probs * q.levels)
     return ChannelSummary(
         quantizer=q, model=model, nodes=nodes,
         probs=probs, joint=joint,
         h_s=entropy(probs),
-        i_avg=mutual_information(joint),
+        i_avg=max(float(dens.sum()), 0.0),
         i_cond=i_cond,
-        a2=a2, b2=b2, c2=c2, d2_per_s=d2,
+        a2=float(np.sum(joint * (lr + log_unif[:, None]) ** 2)),
+        b2=float(probs @ log_unif ** 2),
+        c2=float(np.sum(dens * lr)),
+        d2_per_s=float(np.sum(dens.sum(axis=1) ** 2 / probs)),
         metadata=dict(avg.metadata),
     )
 

@@ -20,6 +20,7 @@ import numpy as np
 from scipy import special
 
 from . import _blocks
+from .info import _log_ratios
 from .stats import DomainError, PufModel, unit_interval_rule
 from .quantizer import InputQuantizer, _decision_borders, sibling_points
 
@@ -125,25 +126,18 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
 
 
 def _mi_per_node(mats, probs):
-    """I(S;S~|W=w) at each quadrature node from stacked channel matrices.
-
-    Works with the ratio P(s~|s) / P(s~) rather than joint / (P_S * P_S~):
-    the latter underflows for quantizers with near-empty intervals.  The
-    ratio and its log are taken on the support only; `contrib` keeps the
-    full zero-filled shape so each node's sum adds in a fixed order.
+    """I(S;S~|W=w) at each quadrature node from stacked channel matrices:
+    the sum of joint * L from `info._log_ratios`, in place on L and over
+    its full zero-filled shape, so each node's sum adds in a fixed order.
     """
     k, n, m = mats.shape
     out = np.empty(k)
 
     def job(blk):
-        joint = probs[None, :, None] * mats[blk]
-        out_marg = joint.sum(axis=1, keepdims=True)
-        nz = joint > 0
-        contrib = np.zeros_like(joint)
-        np.divide(mats[blk], out_marg, out=contrib, where=nz)
-        np.log2(contrib, out=contrib, where=nz)
-        np.multiply(joint, contrib, out=contrib, where=nz)
-        out[blk] = contrib.sum(axis=(1, 2))
+        joint, lr = _log_ratios(mats[blk], probs)
+        # the mask keeps a NaN row's (w = 0) joint out of the sum
+        np.multiply(joint, lr, out=lr, where=joint > 0)
+        out[blk] = lr.sum(axis=(1, 2))
 
     _blocks._run_blocks(job, _blocks._row_blocks(k, n * m))
     return out

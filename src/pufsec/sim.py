@@ -24,6 +24,7 @@ from . import _blocks, quantizer
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, helper_values
 from .channel import AttackerSpec
+from .info import mutual_information
 
 # Samples per chunk.  Small enough that a chunk's (size, N) temporaries are
 # reused from the allocator's heap instead of being mapped and faulted in
@@ -77,17 +78,6 @@ class SimReport:
             "mi_plugin": self.mi_plugin,
             "mi_conditional": self.mi_conditional,
         }, sort_keys=True)
-
-
-def _plugin_mi(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    j = counts / total
-    px = j.sum(axis=1, keepdims=True)
-    py = j.sum(axis=0, keepdims=True)
-    nz = j > 0
-    return float((j[nz] * np.log2(j[nz] / (px * py)[nz])).sum())
 
 
 WORDS_PER_SAMPLE = 4     # enrollment, noise, attacker erasure, one spare
@@ -208,10 +198,10 @@ def run_simulation(cfg: SimConfig) -> SimReport:
         matrix = np.where(row > 0, counts / row, 0.0)
         se = np.where(row > 0, np.sqrt(matrix * (1.0 - matrix) / row), 0.0)
     error_rate = 1.0 - counts.trace() / cfg.samples
-    mi = _plugin_mi(counts)
     total = cfg.samples
-    mi_cond = sum((cond_counts[b].sum() / total) * _plugin_mi(cond_counts[b])
-                  for b in range(_W_BINS) if cond_counts[b].sum() > 0)
+    mi = mutual_information(counts / total)
+    mi_cond = sum((c.sum() / total) * mutual_information(c / c.sum())
+                  for c in cond_counts if c.sum() > 0)
     summary = {
         "sigma_p": cfg.model.sigma_p, "sigma_n": cfg.model.sigma_n,
         "levels": n, "samples": cfg.samples, "seed": cfg.seed,

@@ -3,8 +3,8 @@
 Every pooled kernel writes each row block into its own slice of a
 preallocated output, so it must give the same bits on the pool, on an
 oversubscribed pool and with every block run inline on the calling thread.
-Public quantizer and stats functions must run on the calling thread only:
-the perfbench tracer keeps one span stack, which is not thread-safe.
+Public quantizer, stats and info functions must run on the calling thread
+only: the perfbench tracer keeps one span stack, which is not thread-safe.
 """
 
 import functools
@@ -14,7 +14,7 @@ import time
 import types
 from concurrent.futures import ThreadPoolExecutor
 
-from pufsec import _blocks, quantizer, stats
+from pufsec import _blocks, info, quantizer, stats
 
 
 def run_blocks_inline(job, blocks):
@@ -43,9 +43,9 @@ def pooled_crowded_inline(monkeypatch, results):
 
 
 def spy_public_calls(monkeypatch, namespaces):
-    """Wrap every public quantizer and stats function wherever one of
+    """Wrap every public quantizer, stats and info function wherever one of
     `namespaces` binds it; returns the list of thread ids that called one."""
-    public = {id(f): f for mod in (quantizer, stats)
+    public = {id(f): f for mod in (quantizer, stats, info)
               for name, f in vars(mod).items()
               if not name.startswith("_")
               and isinstance(f, types.FunctionType)

@@ -26,7 +26,8 @@ its candidates.  The full-row sample chunk takes the Monte-Carlo MAP argmax
 over all N sibling points, the form the windowed MAP step must match to
 the bit.  The leakage samples are W | S = s of every level drawn in one
 unchunked call, the samples the leakage test's KS statistics must be
-scipy's on.
+scipy's on.  The plug-in information loops over a count table cell by cell,
+the second route for the Monte-Carlo report's plug-in informations.
 
 The cell scan tests every n up to the cap, the second route for the
 closed-form start and integer steps of `min_cells`.  The unquantized rate
@@ -326,6 +327,23 @@ def leakage_samples(cfg, helper):
         w = np.clip((x - edges[s]) / (edges[s + 1] - edges[s]), 0.0,
                     np.nextafter(1.0, 0.0))
     return [w[s == t] for t in range(q.levels)]
+
+
+def plugin_mi(counts):
+    """Plug-in I(X;Y) in bits of a table of joint counts, cell by cell:
+    the sum over counts c > 0 of c/T log2(c T / (r k)), with T the total
+    and r, k the counts of the cell's row and column, in integer
+    arithmetic up to the logarithm."""
+    table = np.asarray(counts).tolist()
+    rows = [sum(r) for r in table]
+    cols = [sum(c) for c in zip(*table)]
+    total = sum(rows)
+    mi = 0.0
+    for x, row in enumerate(table):
+        for y, c in enumerate(row):
+            if c:
+                mi += c / total * math.log2(c * total / (rows[x] * cols[y]))
+    return mi
 
 
 def min_cells_scan(first, penalty, target, cap):

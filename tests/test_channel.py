@@ -290,18 +290,22 @@ class TestNodePool:
 
     def test_public_functions_stay_on_the_calling_thread(self, monkeypatch):
         # the perfbench tracer keeps one span stack, which is not
-        # thread-safe: no public quantizer or stats function may run in a job
+        # thread-safe: no public quantizer, stats or info function may run in
+        # a job.  At N = 128 both kernels' stacks span several blocks, and
+        # the thread spies make the pool take some of them.
         calls = spy_public_calls(
             monkeypatch, (pufsec, quantizer, stats, channel, info, bounds))
         main = threading.get_ident()
-        workers = set()
+        workers, mi_workers = set(), set()
         ndtr = spy_threads(special.ndtr, workers)
         monkeypatch.setattr(channel, "special", types.SimpleNamespace(ndtr=ndtr))
+        monkeypatch.setattr(channel, "_log_ratios",
+                            spy_threads(channel._log_ratios, mi_workers))
         monkeypatch.setattr(_blocks, "_THREADS", 2)  # a helper even on one CPU
-        bounds.summarize_channel(make_equidistant(MODEL, 64, 20000.0 / 64),
+        bounds.summarize_channel(make_equidistant(MODEL, 128, 20000.0 / 128),
                                  nodes=64)
         assert calls and set(calls) == {main}
-        assert len(workers) > 1
+        assert len(workers) > 1 and len(mi_workers) > 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_gets_its_own_pool(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from pufsec import bounds
 from pufsec.channel import _quadrature, _rule
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
+from pufsec.tables import RATE_LEVELS, equidistant_reference
 from pufsec.info import entropy, mutual_information
 
 
@@ -31,6 +34,21 @@ class TestBasicMeasures:
             entropy(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             mutual_information(np.full(4, 0.25))
+        # a NaN sum is not within the tolerance of 1
+        with pytest.raises(DomainError):
+            entropy(np.array([np.nan, 1.0]))
+        with pytest.raises(DomainError):
+            entropy(np.array([0.5, np.nan, 0.5]))
+        with pytest.raises(DomainError):
+            mutual_information(np.array([[0.5, np.nan], [0.25, 0.25]]))
+
+    @pytest.mark.parametrize("m", [1e-200, 1e-300])
+    def test_mi_of_a_near_empty_input(self, m):
+        # P_X P_Y of the 1e-200 cell underflows to 0; the ratio form does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mi = mutual_information(np.diag([m, 1.0 - m]))
+        assert mi == pytest.approx(entropy([m, 1.0 - m]), rel=1e-12)
 
 
 def random_summary(rng):
@@ -111,6 +129,17 @@ class TestConditionalMI:
         assert val == _rule(q, q.model, k)[1]
         assert val == _quadrature(q, q.model, 64)[1]
         assert delta == abs(val - _rule(q, q.model, k // 2)[1])
+
+    @pytest.mark.parametrize("strategy", ["equiprobable", "equidistant"])
+    def test_conditional_minus_averaged_mi_on_table_quantizers(self, strategy):
+        # zero leakage, I(S;W) = 0, gives I(S;S~|W) = I(S;S~,W) >= I(S;S~);
+        # the gap is largest at equiprobable N = 32, 1.235e-3 bits
+        m = PufModel()
+        for n in RATE_LEVELS:
+            q = (make_equiprobable(m, n) if strategy == "equiprobable"
+                 else equidistant_reference(m, n))
+            s = bounds.summarize_channel(q)
+            assert -1e-12 <= s.i_cond - s.i_avg <= 1.3e-3
 
     def test_more_levels_more_information(self):
         m = PufModel()

@@ -18,7 +18,7 @@ from pufsec.sim import (SimConfig, attacker_observations, leakage_test,
                         run_simulation)
 from pufsec.info import mutual_information
 from blockpool import pooled_crowded_inline, spy_public_calls, spy_threads
-from oracles import full_row_simulate_chunk, leakage_samples
+from oracles import full_row_simulate_chunk, leakage_samples, plugin_mi
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -82,6 +82,26 @@ class TestPipeline:
                                               abs=0.01)
         assert rep.mi_conditional == pytest.approx(
             bounds.summarize_channel(q, nodes=128).i_cond, abs=0.01)
+
+    @pytest.mark.parametrize("strategy,n", [("equidistant", 8),
+                                            ("equiprobable", 3)])
+    def test_plugin_informations_match_the_loop_oracle(self, strategy, n):
+        q = (make_equidistant(MODEL, n, 20000.0 / n)
+             if strategy == "equidistant" else make_equiprobable(MODEL, n))
+        cfg = SimConfig(MODEL, q, samples=20_000, seed=13)
+        rep = run_simulation(cfg)
+        # the counts of each helper-value bin, tallied one sample at a time
+        s, w, s_tilde, _ = full_row_simulate_chunk(cfg, 0, cfg.samples)
+        bins = {}
+        for a, b, t in zip(s.tolist(), w.tolist(), s_tilde.tolist()):
+            k = min(int(b * sim_mod._W_BINS), sim_mod._W_BINS - 1)
+            bins.setdefault(k, np.zeros((n, n), dtype=np.int64))[a, t] += 1
+        assert np.array_equal(sum(bins.values()), rep.counts)
+        assert rep.mi_plugin == pytest.approx(plugin_mi(rep.counts),
+                                              abs=1e-12)
+        cond = sum(c.sum() / cfg.samples * plugin_mi(c)
+                   for c in bins.values())
+        assert rep.mi_conditional == pytest.approx(cond, abs=1e-12)
 
     def test_error_rate_matches_channel(self):
         q = make_equiprobable(MODEL, 8)
