@@ -26,7 +26,7 @@ from .quantizer import InputQuantizer
 # per_w_channels stays bound here although _quadrature makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
 from .channel import AttackerSpec, _quadrature, per_w_channels  # noqa: F401
-from .info import _log_ratios, entropy
+from .info import _log_ratios, _validate_pmf, entropy
 
 LOG2_CAP_DEFAULT = 20000
 
@@ -81,7 +81,8 @@ def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
     model = model or q.model
     avg, i_cond = _quadrature(q, model, nodes)
     probs = q.probs
-    joint, lr = _log_ratios(np.clip(avg.p, 0.0, None), probs)
+    joint, lr, _ = _log_ratios(np.clip(avg.p, 0.0, None), probs)
+    _validate_pmf(joint)        # a NaN or a mass off 1 raises, not spreads
     dens = joint * lr
     log_unif = np.log2(probs * q.levels)
     return ChannelSummary(

@@ -134,9 +134,9 @@ def _mi_per_node(mats, probs):
     out = np.empty(k)
 
     def job(blk):
-        joint, lr = _log_ratios(mats[blk], probs)
+        joint, lr, nz = _log_ratios(mats[blk], probs)
         # the mask keeps a NaN row's (w = 0) joint out of the sum
-        np.multiply(joint, lr, out=lr, where=joint > 0)
+        np.multiply(joint, lr, out=lr, where=nz)
         out[blk] = lr.sum(axis=(1, 2))
 
     _blocks._run_blocks(job, _blocks._row_blocks(k, n * m))

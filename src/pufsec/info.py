@@ -23,9 +23,9 @@ def _validate_pmf(p, tol=1e-12):
 
 
 def _log_ratios(mats, probs):
-    """(joint, L) of channel matrices P(s~|s) stacked on the last two axes
-    under the input pmf `probs`: joint = P_S(s) P(s~|s), and L the
-    information density log2 P(s~|s) / P(s~) on the joint's support, 0
+    """(joint, L, support) of channel matrices P(s~|s) stacked on the last
+    two axes under the input pmf `probs`: joint = P_S(s) P(s~|s), L the
+    information density log2 P(s~|s) / P(s~) on the support joint > 0, 0
     elsewhere.  Every information quantity of the package is a moment of L.
 
     The ratio form, not joint / (P_S P_S~): that product underflows for
@@ -37,7 +37,7 @@ def _log_ratios(mats, probs):
     lr = np.zeros_like(joint)
     np.divide(mats, marg, out=lr, where=nz)
     np.log2(lr, out=lr, where=nz)
-    return joint, lr
+    return joint, lr, nz
 
 
 def entropy(p) -> float:
@@ -55,5 +55,5 @@ def mutual_information(joint) -> float:
     px = j.sum(axis=1)
     rows = np.divide(j, px[:, None], out=np.zeros_like(j),
                      where=px[:, None] > 0)
-    j, lr = _log_ratios(rows, px)
+    j, lr, _ = _log_ratios(rows, px)
     return max(float(np.sum(j * lr)), 0.0)

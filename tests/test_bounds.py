@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.channel import AttackerSpec
-from pufsec import bounds
+from pufsec import bounds, channel
 from oracles import (analog_triple, digital_triple, erasure_joint,
                      min_cells_scan, oracle_v1, oracle_vc, oracle_vc_prime)
 
@@ -256,6 +257,16 @@ class TestParameterDomain:
                                   security_bits=128)
         with pytest.raises(DomainError, match="summarize_channel"):
             bounds.min_cells(query, "converse", summary=_Q4)
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e-9])
+    def test_summary_rejects_a_bad_averaged_joint(self, monkeypatch, bad):
+        avg, i_cond = channel._quadrature(_Q4, MODEL, 32)
+        p = avg.p.copy()
+        p[1, 2] += bad
+        monkeypatch.setattr(bounds, "_quadrature", lambda *a: (
+            SimpleNamespace(p=p, metadata=avg.metadata), i_cond))
+        with pytest.raises(DomainError, match="pmf"):
+            bounds.summarize_channel(_Q4, MODEL, nodes=32)
 
     @pytest.mark.parametrize("name", sorted(DIGITAL_RATES))
     @pytest.mark.parametrize("p_d", [-0.1, 1.5, math.nan])
