@@ -127,8 +127,9 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
 
 def _mi_per_node(mats, probs):
     """I(S;S~|W=w) at each quadrature node from stacked channel matrices:
-    the sum of joint * L from `info._log_ratios`, in place on L and over
-    its full zero-filled shape, so each node's sum adds in a fixed order.
+    the sum of joint * L from `info._log_ratios`, in place on L under the
+    kernel's support mask and over L's full zero-filled shape, so each
+    node's sum adds in a fixed order.
     """
     k, n, m = mats.shape
     out = np.empty(k)
