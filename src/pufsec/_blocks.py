@@ -1,8 +1,8 @@
 """Row blocks run on the calling thread and a shared thread pool.
 
-The channel kernels, I(S;S~|W=w) per node, the sibling points and the
-Monte-Carlo MAP step split their rows (quadrature nodes or samples) into
-blocks of about _BLOCK_ENTRIES array entries and hand them to _run_blocks.
+The channel kernels, I(S;S~|W=w) per node and the sibling points split
+their rows into blocks of about _BLOCK_ENTRIES array entries, the
+Monte-Carlo passes their samples into chunks, and hand them to _run_blocks.
 This module imports nothing from pufsec, so every module of the package
 can use the one pool.
 """
@@ -49,8 +49,10 @@ def _run_blocks(job, blocks) -> None:
     _THREADS - 1 pool threads take the blocks one at a time, in order, until
     none is left; a single block runs inline.
 
-    Each job writes only its own slice of a preallocated output, so the
-    result is the same to the bit for any number of threads and any order.
+    Each job writes only its own slice of a preallocated output or adds
+    integer counts under a lock, so the result is the same to the bit for
+    any number of threads and any order.  A job never calls _run_blocks:
+    its helpers could queue behind pool threads that all wait on theirs.
     Jobs call no public pufsec function (the perfbench tracer's span stack
     is not thread-safe), and numpy's errstate is per thread, so a job sets
     its own.

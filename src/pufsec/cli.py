@@ -319,9 +319,8 @@ def _dump_samples(cfg, path, cap=1_000_000):
     rows = min(cfg.samples, cap)
     with open(path, "w") as fh:
         fh.write("s,w,s_tilde\n")
-        for start in range(0, rows, sim._CHUNK):
-            s, w, st, _ = sim._simulate_chunk(
-                cfg, start, min(sim._CHUNK, rows - start))
+        for chunk in sim._chunks(rows):
+            s, w, st, _ = sim._simulate_chunk(cfg, *chunk)
             fh.writelines(map("{},{:.6g},{}\n".format,
                               s.tolist(), w.tolist(), st.tolist()))
 

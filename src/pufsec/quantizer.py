@@ -125,7 +125,7 @@ def make_equidistant(model: PufModel, levels: int, step: float) -> InputQuantize
         ) from e
 
 
-def helper_values(q: InputQuantizer, x: np.ndarray):
+def _helper_values(q: InputQuantizer, x: np.ndarray):
     """Interval indices and zero-leakage helper values of the points x.
 
     The helper value is the fraction of the interval's mass left of x, taken

@@ -10,26 +10,31 @@ argmax is scored on a window of _WINDOW levels around the interval that
 holds the noisy reading and certified per sample; a sample whose
 certificate fails is scored on all N levels, so every sample is the full
 argmax's to the bit.
+
+Each 65,536-sample chunk, from its Philox draw to its tally, is one job of
+the block pool (`_blocks`); counts are added under a lock and per-level
+pieces joined in chunk order, so every output is the same on any threads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 
 import numpy as np
 from scipy import special
 
 from . import _blocks, quantizer
 from .stats import DomainError, PufModel
-from .quantizer import InputQuantizer, helper_values
+from .quantizer import InputQuantizer, _helper_values
 from .channel import AttackerSpec
 from .info import mutual_information
 
-# Samples per chunk.  Small enough that a chunk's (size, N) temporaries are
-# reused from the allocator's heap instead of being mapped and faulted in
-# afresh (1M-sample chunks are 128 MB at N = 16); the Philox per-sample
-# layout makes every result independent of it.
+# Samples per chunk, one pool job in every sim pass.  Small enough that a
+# chunk's (size, N) temporaries are reused from the allocator's heap instead
+# of being mapped and faulted in afresh (1M-sample chunks are 128 MB at
+# N = 16); the Philox per-sample layout makes every result independent of it.
 _CHUNK = 65_536
 # Levels in the MAP step's window around the interval that holds y.
 _WINDOW = 5
@@ -47,11 +52,12 @@ class SimConfig:
     attacker: AttackerSpec | None = None
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError(f"samples must be >= 1, got {self.samples}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DomainError(
-                f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, low in (("samples", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                    or v < low):
+                raise DomainError(
+                    f"{name} must be an integer >= {low}, got {v!r}")
         if self.quantizer.model != self.model:
             raise DomainError("the quantizer was built for another PufModel")
 
@@ -95,10 +101,15 @@ def _uniforms(seed, start, size):
     return np.clip(u, 1e-17, None)
 
 
+def _chunks(samples):
+    """(start, size) of each _CHUNK slice of the samples, one pool job each."""
+    return [(k, min(_CHUNK, samples - k)) for k in range(0, samples, _CHUNK)]
+
+
 def _simulate_chunk(cfg: SimConfig, start, size):
-    """One batch of (s, w, s_tilde, u_attack) samples, fully vectorized.
-    The MAP step runs in row blocks (`_blocks`), each writing its own slice
-    of s_tilde.
+    """One batch of (s, w, s_tilde, u_attack) samples, fully vectorized: one
+    pool job, so the MAP step walks its row blocks in a plain loop (a job
+    never waits on the pool), each writing its own slice of s_tilde.
 
     The MAP estimate argmax_t ln p_t - (y - x_t(w))^2 / (2 sigma_n^2) is
     taken over a window of _WINDOW levels (all N when N is smaller) around
@@ -115,7 +126,7 @@ def _simulate_chunk(cfg: SimConfig, start, size):
     n = q.levels
     u = _uniforms(cfg.seed, start, size)
     x = model.sigma_p * special.ndtri(u[:, 0])
-    s, w = helper_values(q, x)
+    s, w = _helper_values(q, x)
     s_tilde = np.empty(size, dtype=np.intp)
 
     if model.sigma_n == 0:
@@ -124,7 +135,8 @@ def _simulate_chunk(cfg: SimConfig, start, size):
             centers = quantizer._sibling_rows(q, w[blk], slice(None))
             s_tilde[blk] = np.argmin(np.abs(x[blk, None] - centers), axis=1)
 
-        _blocks._run_blocks(job, _blocks._row_blocks(size, n))
+        for blk in _blocks._row_blocks(size, n):
+            job(blk)
         return s, w, s_tilde, u[:, 2]
 
     logp = np.log(q.probs)
@@ -166,15 +178,20 @@ def _simulate_chunk(cfg: SimConfig, start, size):
     # sized as 4 entries per window level: blocks of 3,276 samples keep the
     # (rows, 5) temporaries in cache (2 vCPU, N = 16: 10 to 40 entries per
     # sample timed alike, 80 and more slower)
-    _blocks._run_blocks(job, _blocks._row_blocks(size, _WINDOW * 4))
+    for blk in _blocks._row_blocks(size, _WINDOW * 4):
+        job(blk)
     return s, w, s_tilde, u[:, 2]
 
 
-def _tally(counts: np.ndarray, *index) -> None:
+def _tally(counts: np.ndarray, lock, *index) -> None:
     """counts[index] += 1 per sample, repeats included: one bincount over
-    the flattened index (1.6x faster than np.add.at at 1M samples)."""
+    the flattened index (1.6x faster than np.add.at at 1M samples), taken
+    under the lock of the chunk jobs sharing `counts`, so that one dense
+    temporary of counts.size entries is alive at a time."""
     flat = np.ravel_multi_index(index, counts.shape)
-    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    with lock:
+        counts += np.bincount(flat, minlength=counts.size).reshape(
+            counts.shape)
 
 
 def run_simulation(cfg: SimConfig) -> SimReport:
@@ -184,15 +201,16 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     counts = np.zeros((n, n), dtype=np.int64)
     w_hist = np.zeros((n, _W_BINS), dtype=np.int64)
     cond_counts = np.zeros((_W_BINS, n, n), dtype=np.int64)
-    done = 0
-    while done < cfg.samples:
-        size = min(_CHUNK, cfg.samples - done)
-        s, w, s_tilde, _ = _simulate_chunk(cfg, done, size)
-        _tally(counts, s, s_tilde)
+    lock = threading.Lock()
+
+    def job(chunk):
+        s, w, s_tilde, _ = _simulate_chunk(cfg, *chunk)
+        _tally(counts, lock, s, s_tilde)
         wb = np.minimum((w * _W_BINS).astype(np.int64), _W_BINS - 1)
-        _tally(w_hist, s, wb)
-        _tally(cond_counts, wb, s, s_tilde)
-        done += size
+        _tally(w_hist, lock, s, wb)
+        _tally(cond_counts, lock, wb, s, s_tilde)
+
+    _blocks._run_blocks(job, _chunks(cfg.samples))
     row = counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         matrix = np.where(row > 0, counts / row, 0.0)
@@ -228,14 +246,14 @@ def leakage_test(cfg: SimConfig, *, helper: str = "zero-leakage") -> dict:
     if helper not in ("zero-leakage", "center-distance"):
         raise DomainError(f"unknown helper scheme {helper!r}")
     q = cfg.quantizer
-    per_level: dict[int, list] = {t: [] for t in range(q.levels)}
-    done = 0
-    while done < cfg.samples:
-        size = min(_CHUNK, cfg.samples - done)
-        u = _uniforms(cfg.seed, done, size)
+    chunks = _chunks(cfg.samples)
+    pieces = [None] * len(chunks)   # per chunk, its W | S = t for every t
+
+    def job(chunk):
+        u = _uniforms(cfg.seed, *chunk)
         x = cfg.model.sigma_p * special.ndtri(u[:, 0])
         if helper == "zero-leakage":
-            s, w = helper_values(q, x)
+            s, w = _helper_values(q, x)
         else:
             # linear position within the (finite part of the) interval
             s = np.searchsorted(q.inner_borders, x, side="right")
@@ -244,12 +262,12 @@ def leakage_test(cfg: SimConfig, *, helper: str = "zero-leakage") -> dict:
             hi = np.where(np.isfinite(q.borders[s + 1]), q.borders[s + 1],
                           q.borders[-2] + 3 * cfg.model.sigma_p)
             w = np.clip((x - lo) / (hi - lo), 0.0, np.nextafter(1.0, 0.0))
-        for t in range(q.levels):
-            per_level[t].append(w[s == t])
-        done += size
+        pieces[chunk[0] // _CHUNK] = [w[s == t] for t in range(q.levels)]
+
+    _blocks._run_blocks(job, chunks)
     out, tested, d, sizes = {}, [], [], []
     for t in range(q.levels):
-        v = np.sort(np.concatenate(per_level[t]))
+        v = np.sort(np.concatenate([p[t] for p in pieces]))
         n = v.size
         out[t] = {"statistic": None, "p_value": None, "samples": n,
                   "under_sampled": n < 100}
@@ -271,22 +289,18 @@ def attacker_observations(cfg: SimConfig) -> dict:
     if cfg.attacker is None:
         raise DomainError("config has no attacker")
     att = cfg.attacker
-    q = cfg.quantizer
-    n = q.levels
-    if att.kind == "digital":
-        counts = np.zeros((n, n + 1), dtype=np.int64)   # last col = erasure
-    else:
-        counts = np.zeros((n, n + 1, n + 1), dtype=np.int64)
-    done = 0
-    while done < cfg.samples:
-        size = min(_CHUNK, cfg.samples - done)
-        s, w, s_tilde, u = _simulate_chunk(cfg, done, size)
-        if att.kind == "digital":
-            obs = np.where(u < att.p_d, n, s_tilde)
-            _tally(counts, s, obs)
-        else:
-            dig_obs = np.where(u < att.p_d, n, s_tilde)
-            ana_obs = np.where(u < att.p_a, n, s)
-            _tally(counts, s, dig_obs, ana_obs)
-        done += size
+    n = cfg.quantizer.levels
+    # (S, digital view) or (S, digital view, analog view); view n = erasure
+    views = 1 if att.kind == "digital" else 2
+    counts = np.zeros((n,) + (n + 1,) * views, dtype=np.int64)
+    lock = threading.Lock()
+
+    def job(chunk):
+        s, w, s_tilde, u = _simulate_chunk(cfg, *chunk)
+        index = [s, np.where(u < att.p_d, n, s_tilde)]
+        if views == 2:
+            index.append(np.where(u < att.p_a, n, s))
+        _tally(counts, lock, *index)
+
+    _blocks._run_blocks(job, _chunks(cfg.samples))
     return {"counts": counts, "attacker": att}

@@ -45,7 +45,7 @@ from pufsec.optimize import repair_knots
 from pufsec.sim import _uniforms
 from pufsec.stats import DomainError
 from pufsec.quantizer import (InputQuantizer, _decision_borders,
-                              helper_values, sibling_points)
+                              _helper_values, sibling_points)
 
 
 def random_markov(rng, nx, ny, nz):
@@ -288,7 +288,7 @@ def full_row_simulate_chunk(cfg, start, size):
     model = cfg.model
     u = _uniforms(cfg.seed, start, size)
     x = model.sigma_p * special.ndtri(u[:, 0])
-    s, w = helper_values(q, x)
+    s, w = _helper_values(q, x)
     centers = sibling_points(q, w)                       # (size, N)
     s_tilde = np.empty(size, dtype=np.intp)
 
@@ -318,7 +318,7 @@ def leakage_samples(cfg, helper):
     x = cfg.model.sigma_p * special.ndtri(_uniforms(cfg.seed, 0,
                                                     cfg.samples)[:, 0])
     if helper == "zero-leakage":
-        s, w = helper_values(q, x)
+        s, w = _helper_values(q, x)
     else:
         s = np.searchsorted(q.inner_borders, x, side="right")
         edges = q.borders.copy()

@@ -11,7 +11,7 @@ from oracles import (decision_intervals, loop_decision_borders,
 from pufsec.optimize import _symmetric_quantizer
 from pufsec.stats import DomainError, PufModel, unit_interval_rule
 from pufsec.quantizer import (InputQuantizer, _decision_borders,
-                              _sibling_rows, helper_values, make_equidistant,
+                              _sibling_rows, _helper_values, make_equidistant,
                               make_equiprobable, sibling_points)
 from pufsec.tables import equidistant_reference
 
@@ -71,7 +71,7 @@ class TestHelperData:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_equiprobable(self, x, n):
         q = make_equiprobable(MODEL, n)
-        t, w = helper_values(q, x)
+        t, w = _helper_values(q, x)
         assert 0 <= t < n and 0.0 <= w < 1.0
         assert sibling_point(q, t, w) == pytest.approx(x, abs=1e-6)
 
@@ -79,13 +79,13 @@ class TestHelperData:
         # interval buried 8 sigma out still round-trips (side-stable math)
         q = InputQuantizer.from_borders(MODEL, [-8 * 2241.0, 0.0, 8 * 2241.0])
         for x in (-18500.0, 18500.0):
-            t, w = helper_values(q, x)
+            t, w = _helper_values(q, x)
             assert sibling_point(q, t, w) == pytest.approx(x, rel=1e-9)
 
     def test_border_point_goes_up(self):
         q = make_equiprobable(MODEL, 4)
         b = q.inner_borders[1]          # = 0
-        t, w = helper_values(q, b)
+        t, w = _helper_values(q, b)
         assert t == 2 and w == pytest.approx(0.0, abs=1e-12)
 
     def test_w_uniformity_by_transform(self):
@@ -94,7 +94,7 @@ class TestHelperData:
         q = make_equiprobable(MODEL, 8)
         u = (np.arange(2000) + 0.5) / 2000
         xs = MODEL.sigma_p * scistats.norm.ppf(u)
-        ws = helper_values(q, xs)[1]
+        ws = _helper_values(q, xs)[1]
         stat = scistats.kstest(ws, "uniform").statistic
         assert stat < 0.01
 
@@ -112,7 +112,7 @@ class TestHelperData:
                 [0.0, -0.0, 38 * MODEL.sigma_p, -38 * MODEL.sigma_p],
                 b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
                 rng.normal(0.0, MODEL.sigma_p, 2000)))
-            t, w = helper_values(q, x)
+            t, w = _helper_values(q, x)
             t2, w2 = two_call_helper_values(q, x)
             assert np.array_equal(t, t2)
             assert np.array_equal(w, w2)

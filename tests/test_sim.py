@@ -129,6 +129,18 @@ class TestPipeline:
         SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
                   seed=np.uint32(7))
 
+    # a float count failed later in run_simulation with a raw TypeError, and
+    # a bool was taken as the integer it stands for
+    @pytest.mark.parametrize("field,value", [
+        ("samples", 1000.0), ("samples", True), ("samples", "1000"),
+        ("seed", True), ("seed", np.bool_(False)), ("seed", 7.0)])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        kwargs = {"samples": 1000, "seed": 1, field: value}
+        with pytest.raises(DomainError, match=field):
+            SimConfig(MODEL, make_equiprobable(MODEL, 4), **kwargs)
+        SimConfig(MODEL, make_equiprobable(MODEL, 4),
+                  **{**kwargs, field: np.int64(5)})
+
     def test_quantizer_for_another_model_rejected(self):
         # X would be drawn with one sigma_p and quantized with another
         with pytest.raises(DomainError):
@@ -224,15 +236,17 @@ class TestAttackerObservations:
 
 
 class TestBlockPool:
-    """The MAP step of every sample chunk and the sibling points under it
-    run in row blocks on the shared pool (DECISIONS.md, "Parallel node
-    blocks").  Each block writes its own slice, so every count is the same
-    on any number of threads."""
+    """Every sim pass runs its sample chunks, each from its Philox draw to
+    its tally, as jobs of the shared pool (DECISIONS.md, "Parallel node
+    blocks").  The tallies add integer counts under a lock and the leakage
+    test joins its per-level pieces in chunk order, so every output is the
+    same on any number of threads.  A 20,000-sample run is one chunk and
+    runs inline, so these tests cut the chunks to 4,097 samples (five
+    chunks)."""
 
     @staticmethod
     def outputs(n, sigma_n=129.0):
         m = PufModel(2241.0, sigma_n)
-        # 20,000 samples are 3 blocks at N = 8 and 20 at N = 64
         q = make_equidistant(m, n, 20000.0 / n)
         cfgs = [SimConfig(m, q, samples=20_000, seed=9, attacker=att)
                 for att in (AttackerSpec("digital", p_d=0.18),
@@ -243,10 +257,13 @@ class TestBlockPool:
                 *(attacker_observations(c)["counts"] for c in cfgs)]
 
     # equidistant N = 64 at sigma_N = 400 sends about 14% of the samples
-    # to the MAP step's full-row fallback (TestWindowedMAP), N = 8 none
+    # to the MAP step's full-row fallback (TestWindowedMAP), N = 8 none;
+    # at N = 256 every chunk adds a 64 x 256 x 256 cond_counts tally
     @pytest.mark.parametrize("n,sigma_n", [(8, 129.0), (64, 129.0),
-                                           (64, 400.0), (8, 0.0)])
+                                           (64, 400.0), (8, 0.0),
+                                           (256, 129.0)])
     def test_pool_matches_inline(self, monkeypatch, n, sigma_n):
+        monkeypatch.setattr(sim_mod, "_CHUNK", 4097)
         pooled, crowded, inline = pooled_crowded_inline(
             monkeypatch, lambda: self.outputs(n, sigma_n))
         for got in (pooled, crowded):
@@ -261,6 +278,7 @@ class TestBlockPool:
                                  (pufsec, quantizer, stats, sim_mod))
         main_thread = threading.get_ident()
         monkeypatch.setattr(_blocks, "_THREADS", 2)  # a helper even on one CPU
+        monkeypatch.setattr(sim_mod, "_CHUNK", 4097)
         for n, sigma_n in ((8, 129.0), (64, 400.0)):
             workers = set()
             ndtri = spy_threads(special.ndtri, workers)
@@ -271,7 +289,8 @@ class TestBlockPool:
             assert len(workers) > 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_gets_its_own_pool(self):
+    def test_forked_child_gets_its_own_pool(self, monkeypatch):
+        monkeypatch.setattr(sim_mod, "_CHUNK", 4097)   # the child inherits it
         cfg = SimConfig(MODEL, make_equiprobable(MODEL, 16), samples=20_000,
                         seed=3)
         report = run_simulation(cfg).to_json()   # the parent's pool runs
