@@ -129,8 +129,8 @@ class TestPipeline:
         SimConfig(MODEL, make_equiprobable(MODEL, 4), samples=10,
                   seed=np.uint32(7))
 
-    # a float count failed later in run_simulation with a raw TypeError, and
-    # a bool was taken as the integer it stands for
+    # a float count would fail later in run_simulation with a raw
+    # TypeError, and a bool would pass as the integer 0 or 1
     @pytest.mark.parametrize("field,value", [
         ("samples", 1000.0), ("samples", True), ("samples", "1000"),
         ("seed", True), ("seed", np.bool_(False)), ("seed", 7.0)])
