@@ -1,8 +1,8 @@
 """Row blocks run on the calling thread and a shared thread pool.
 
-The channel kernels, I(S;S~|W=w) per node and the sibling points split
-their rows into blocks of about _BLOCK_ENTRIES array entries, the
-Monte-Carlo passes their samples into chunks, and hand them to _run_blocks.
+The channel kernel and I(S;S~|W=w) per node split their rows into blocks
+of about _BLOCK_ENTRIES array entries, the Monte-Carlo passes their
+samples into chunks, and hand them to _run_blocks.
 This module imports nothing from pufsec, so every module of the package
 can use the one pool.
 """

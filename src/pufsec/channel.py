@@ -100,6 +100,8 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     model = model or q.model
     if model.sigma_n <= 0:
         raise DomainError("channel matrices need sigma_n > 0")
+    if model.sigma_p != q.model.sigma_p:    # q's sibling points use q's
+        raise DomainError("the model and the quantizer differ in sigma_p")
     x = sibling_points(q, np.asarray(ws, dtype=float))     # (K, N)
     # one call for all nodes, on this thread: on merged rows the kernel
     # repeats envelope passes, each a few numpy calls over all those rows

@@ -314,15 +314,15 @@ def simulate(ctx, levels, strategy, step, samples, seed, attacker, p_d, p_a,
 
 
 def _dump_samples(cfg, path, cap=1_000_000):
-    # chunk by chunk, as sim does: one call on all rows would hold (rows, N)
-    # temporaries at once
-    rows = min(cfg.samples, cap)
+    s, w, st = sim.decisions(cfg, min(cfg.samples, cap))
     with open(path, "w") as fh:
         fh.write("s,w,s_tilde\n")
-        for chunk in sim._chunks(rows):
-            s, w, st, _ = sim._simulate_chunk(cfg, *chunk)
-            fh.writelines(map("{},{:.6g},{}\n".format,
-                              s.tolist(), w.tolist(), st.tolist()))
+        # in slices, so that the formatted rows are never all alive at once
+        step = 65_536
+        for k in range(0, len(s), step):
+            blk = slice(k, k + step)
+            fh.writelines(map("{},{:.6g},{}\n".format, s[blk].tolist(),
+                              w[blk].tolist(), st[blk].tolist()))
 
 
 @main.command("optimize")

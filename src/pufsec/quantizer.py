@@ -17,7 +17,6 @@ import math
 import numpy as np
 from scipy import special
 
-from . import _blocks
 from .stats import DomainError, PufModel
 
 
@@ -142,33 +141,27 @@ def _helper_values(q: InputQuantizer, x: np.ndarray):
 
 def sibling_points(q: InputQuantizer, w) -> np.ndarray:
     """g_t^{-1}(w) for every level t; w may be a scalar or an array
-    (result shape (..., N)).  The rows run in blocks (`_blocks`), each
-    written into its own slice of the output."""
+    (result shape (..., N)).  One call on all rows: a channel stack has at
+    most 128 x 256 entries, half of one pool block (DECISIONS.md, "Parallel
+    node blocks")."""
     w = np.asarray(w, dtype=float)
-    flat = w.reshape(-1)
-    out = np.empty((flat.size, q.levels))
-
-    def job(blk):
-        _sibling_rows(q, flat[blk], slice(None), out=out[blk])
-
-    _blocks._run_blocks(job, _blocks._row_blocks(flat.size, q.levels))
-    return out.reshape(w.shape + (q.levels,))
+    x = _sibling_rows(q, w.reshape(-1), slice(None))
+    return x.reshape(w.shape + (q.levels,))
 
 
-def _sibling_rows(q: InputQuantizer, w: np.ndarray, levels,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _sibling_rows(q: InputQuantizer, w: np.ndarray, levels) -> np.ndarray:
     """g_t^{-1}(w[i]) for the levels t of row i: `levels` is slice(None)
     for all N levels (result (len(w), N)) or an integer array of shape
     (len(w), k) (result (len(w), k)).  Every entry is the same to the bit
-    whichever levels are asked for; a row-block job calls this, not the
-    public `sibling_points`."""
+    whichever levels are asked for; a pool job calls this, not the public
+    `sibling_points`."""
     wp = w[:, None] * q.probs[levels]
     u = q.cdf[:-1][levels] + wp        # mass from the left
     v = q.sf[:-1][levels] - wp         # mass from the right
     lower = u <= 0.5
     # the upper entries are -Phi^{-1}(v): one ndtri call, then a product
     # with -sigma_p there (negation is exact, so it may come first or last)
-    x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)), out=out)
+    x = special.ndtri(np.where(lower, u, np.clip(v, 0.0, 1.0)))
     x *= np.where(lower, q.model.sigma_p, -q.model.sigma_p)
     return x
 

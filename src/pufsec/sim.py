@@ -9,11 +9,12 @@ calls its decision borders, and therefore usable as an oracle for it.  The
 argmax is scored on a window of _WINDOW levels around the interval that
 holds the noisy reading and certified per sample; a sample whose
 certificate fails is scored on all N levels, so every sample is the full
-argmax's to the bit.
+argmax's to the bit.  With no noise (sigma_N = 0) the decision is S.
 
-Each 65,536-sample chunk, from its Philox draw to its tally, is one job of
-the block pool (`_blocks`); counts are added under a lock and per-level
-pieces joined in chunk order, so every output is the same on any threads.
+Each 65,536-sample chunk, from its Philox draw to its tally or its slice
+of the `decisions` arrays, is one job of the block pool (`_blocks`);
+counts are added under a lock and per-level pieces joined in chunk order,
+so every output is the same on any threads.
 """
 
 from __future__ import annotations
@@ -127,17 +128,10 @@ def _simulate_chunk(cfg: SimConfig, start, size):
     u = _uniforms(cfg.seed, start, size)
     x = model.sigma_p * special.ndtri(u[:, 0])
     s, w = _helper_values(q, x)
-    s_tilde = np.empty(size, dtype=np.intp)
-
     if model.sigma_n == 0:
-        def job(blk):
-            # noiseless limit of the MAP rule: nearest sibling point
-            centers = quantizer._sibling_rows(q, w[blk], slice(None))
-            s_tilde[blk] = np.argmin(np.abs(x[blk, None] - centers), axis=1)
-
-        for blk in _blocks._row_blocks(size, n):
-            job(blk)
-        return s, w, s_tilde, u[:, 2]
+        # noiseless: y = x is level s's own sibling point, so S~ = S
+        return s, w, s.copy(), u[:, 2]
+    s_tilde = np.empty(size, dtype=np.intp)
 
     logp = np.log(q.probs)
     c = 2.0 * model.sigma_n ** 2
@@ -228,6 +222,21 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     }
     return SimReport(summary, counts, matrix, se, float(error_rate),
                      w_hist, mi, float(mi_cond))
+
+
+def decisions(cfg: SimConfig, rows: int):
+    """(s, w, s_tilde) of the first `rows` samples, each as run_simulation
+    draws it: one pool job per chunk, each filling its own slice."""
+    s = np.empty(rows, dtype=np.intp)
+    w = np.empty(rows)
+    s_tilde = np.empty(rows, dtype=np.intp)
+
+    def job(chunk):
+        blk = slice(chunk[0], sum(chunk))
+        s[blk], w[blk], s_tilde[blk], _ = _simulate_chunk(cfg, *chunk)
+
+    _blocks._run_blocks(job, _chunks(rows))
+    return s, w, s_tilde
 
 
 def leakage_test(cfg: SimConfig, *, helper: str = "zero-leakage") -> dict:

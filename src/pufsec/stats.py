@@ -13,9 +13,6 @@ import math
 import numpy as np
 from scipy import special
 
-LN2 = math.log(2.0)
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
@@ -39,22 +36,13 @@ class PufModel:
                 f"sigma_n must be finite and nonnegative, got {self.sigma_n!r}")
 
 
-def log_q_function(x):
-    """Natural log of Q(x); usable far beyond double-precision underflow."""
-    x = np.asarray(x, dtype=float)
-    out = special.log_ndtr(-x)
-    return float(out) if out.ndim == 0 else out
-
-
-def _log_std_pdf(x):
-    return -0.5 * x * x - math.log(SQRT_2PI)
-
-
 def q_inverse(p=None, *, log2_p=None):
     """Inverse of the Gaussian Q-function.
 
     Pass either ``p`` in (0,1) directly or ``log2_p`` = log2(p) so that
-    cryptographic security levels (p = 2^-256) stay representable.
+    cryptographic security levels (p = 2^-256) stay representable; log2_p
+    and p < 1e-290 go through `ndtri_exp` (DECISIONS.md, "One inverse-Q
+    path").
     """
     if (p is None) == (log2_p is None):
         raise DomainError("pass exactly one of p or log2_p")
@@ -67,21 +55,8 @@ def q_inverse(p=None, *, log2_p=None):
     else:
         if not (math.isfinite(log2_p) and log2_p < 0.0):
             raise DomainError(f"log2_p must be finite and negative, got {log2_p!r}")
-        log_p = log2_p * LN2
-        if log_p > math.log(1e-290):
-            return float(-special.ndtri(math.exp(log_p)))
-
-    # Deep tail: Newton on ln Q(x) = log_p, seeded from Q(x) ~ phi(x)/x.
-    t = -2.0 * log_p
-    x = math.sqrt(max(t - math.log(2.0 * math.pi * t), 1.0))
-    for _ in range(60):
-        f = log_q_function(x) - log_p
-        fp = -math.exp(_log_std_pdf(x) - log_q_function(x))
-        step = f / fp
-        x -= step
-        if abs(step) < 1e-13 * abs(x):
-            break
-    return x
+        log_p = log2_p * math.log(2.0)
+    return float(-special.ndtri_exp(log_p))
 
 
 @functools.lru_cache(maxsize=32)

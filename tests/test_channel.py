@@ -90,6 +90,20 @@ class TestChannelMatrix:
         with pytest.raises(DomainError):
             per_w_channels(q, [0.5])
 
+    @pytest.mark.parametrize("entry", [
+        lambda q, m: per_w_channels(q, [0.5], m),
+        lambda q, m: averaged_channel(q, m, nodes=16),
+        lambda q, m: bounds.summarize_channel(q, m, nodes=16)],
+        ids=["per_w_channels", "averaged_channel", "summarize_channel"])
+    def test_model_sigma_p_must_be_the_quantizers(self, entry):
+        # the sibling points are the quantizer's, so a model with another
+        # sigma_p used to be answered at the quantizer's sigma_p; another
+        # sigma_n is a legal model
+        q = make_equiprobable(PufModel(), 8)
+        with pytest.raises(DomainError, match="sigma_p"):
+            entry(q, PufModel(1000.0, 129.0))
+        entry(q, PufModel(2241.0, 200.0))
+
 
 class TestBandKernel:
     """The band-limited, node-blocked kernels must equal the dense forms in

@@ -330,10 +330,10 @@ class TestWindowedMAP:
         rows = []
         real = quantizer._sibling_rows
 
-        def spy(q, w, levels, out=None):
+        def spy(q, w, levels):
             if isinstance(levels, slice):
                 rows.append(len(w))
-            return real(q, w, levels, out)
+            return real(q, w, levels)
 
         monkeypatch.setattr(quantizer, "_sibling_rows", spy)
         sim_mod._simulate_chunk(cfg, 0, size)

@@ -6,8 +6,9 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings, strategies as st
 
-from pufsec.stats import (DomainError, PufModel, log_q_function, q_inverse,
-                          unit_interval_rule)
+from scipy import special
+
+from pufsec.stats import DomainError, PufModel, q_inverse, unit_interval_rule
 
 mpmath.mp.dps = 60
 
@@ -16,12 +17,18 @@ def mp_q(x):
     return mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
 
 
+def log_q_function(x):
+    """ln Q(x) by scipy's log_ndtr: the forward map of the round trips."""
+    return float(special.log_ndtr(-x))
+
+
 def q_function(x):
-    """Q(x) from the package's one Q-function, log_q_function."""
     return math.exp(log_q_function(x))
 
 
 class TestGaussianPrimitives:
+    """The forward map of the q_inverse round trips, against mpmath."""
+
     @pytest.mark.parametrize("x", [-8.0, -3.0, -1.0, 0.0, 0.5, 2.0, 6.0, 12.0, 30.0])
     def test_q_function_against_mpmath(self, x):
         assert q_function(x) == pytest.approx(float(mp_q(x)), rel=1e-13)
@@ -45,6 +52,19 @@ class TestQInverse:
         x = q_inverse(log2_p=-lam)
         back = log_q_function(x) / math.log(2.0)
         assert back == pytest.approx(-lam, rel=1e-9)
+
+    @pytest.mark.parametrize("kw", [
+        {"log2_p": -lam} for lam in (964.0, 1024.0, 4096.0, 65536.0, 1e6)]
+        + [{"p": p} for p in (1e-291, 1e-300, 5e-324)], ids=str)
+    def test_deep_tail_against_mpmath(self, kw):
+        # the deep tail (p < 1e-290, i.e. lambda > 963), which the tables
+        # never reach; the reference solves ln Q(x) = ln p at 80 digits
+        with mpmath.workdps(80):
+            log_p = (mpmath.log(mpmath.mpf(kw["p"])) if "p" in kw
+                     else kw["log2_p"] * mpmath.log(2))
+            ref = mpmath.findroot(lambda x: mpmath.log(mp_q(x)) - log_p,
+                                  mpmath.sqrt(-2 * log_p))
+            assert abs(q_inverse(**kw) - ref) <= 1e-12 * ref
 
     def test_security_128_reference(self):
         # Q^{-1}(2^-128) ~ 13.0555 (60-digit mpmath reference)
