@@ -94,12 +94,12 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     Returns an array of shape (len(ws), N, N): the Gaussian mass of each
     sibling point between consecutive MAP decision borders.  Phi is
     evaluated only where it is not exactly 0 or 1; a level whose sibling
-    point is -inf (S = 0 at w = 0) gets a NaN row.  Every node given is
-    evaluated; `_rule` passes only the mirror half it needs.
+    point is -inf (S = 0 at w = 0) gets a NaN row.  At sigma_n = 0 the
+    borders are the sibling points' midpoints and z = +-inf, so the channel
+    is the identity (DECISIONS.md, "The noiseless channel").  Every node
+    given is evaluated; `_rule` passes only the mirror half it needs.
     """
     model = model or q.model
-    if model.sigma_n <= 0:
-        raise DomainError("channel matrices need sigma_n > 0")
     if model.sigma_p != q.model.sigma_p:    # q's sibling points use q's
         raise DomainError("the model and the quantizer differ in sigma_p")
     x = sibling_points(q, np.asarray(ws, dtype=float))     # (K, N)
@@ -111,8 +111,9 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
 
     def job(blk):
         # at w = 0 the -inf sibling point meets the -inf border: the NaN
-        # that inf - inf gives is the documented NaN row, not a fault
-        with np.errstate(invalid="ignore"):
+        # that inf - inf gives is the documented NaN row, not a fault; at
+        # sigma_n = 0 the division gives z = +-inf
+        with np.errstate(invalid="ignore", divide="ignore"):
             z = (b[blk, None, :] - x[blk, :, None]) / model.sigma_n
             one = z >= _PHI_ONE
             band = ~(one | (z <= _PHI_ZERO))     # NaN stays in the band

@@ -10,7 +10,6 @@ import sys
 import click
 
 from .stats import DomainError, PufModel
-from .quantizer import make_equidistant, make_equiprobable
 from .channel import AttackerSpec
 from . import bounds, optimize as opt_mod, sim, tables
 
@@ -34,22 +33,6 @@ def _emit(ctx, text: str):
 
 def _model(ctx) -> PufModel:
     return ctx.obj["model"]
-
-
-def _quantizer(ctx, levels, strategy, attacker=None, step=None):
-    model = _model(ctx)
-    if levels < 2:
-        _fail("--levels must be >= 2")
-    if strategy == "equiprobable":
-        return make_equiprobable(model, levels)
-    if strategy == "equidistant":
-        return make_equidistant(
-            model, levels,
-            step if step is not None else tables.FIXED_RANGE / levels)
-    if attacker is None:
-        _fail("--strategy optimized needs an attacker objective")
-    return tables.optimized_quantizer(model, levels, attacker,
-                                      ctx.obj["nodes"]).quantizer
 
 
 def _attacker(kind, p_d, p_a):
@@ -154,7 +137,8 @@ def main(ctx, sigma_p, sigma_n, nodes, fmt, out, seed):
 def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     """Asymptotic secret-key rate in bits per PUF cell."""
     att = _attacker(attacker, p_d, p_a)
-    q = _quantizer(ctx, levels, strategy, att, step)
+    q = tables.make_quantizer(_model(ctx), levels, strategy, att,
+                              nodes=ctx.obj["nodes"], step=step)
     s = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
     record = {"attacker": attacker, "levels": levels,
               "strategy": strategy, "p_d": p_d}
@@ -188,7 +172,8 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
     if security < 1:
         _fail("--security must be >= 1 bit")
     att = _attacker(attacker, p_d, p_a)
-    q = _quantizer(ctx, levels, strategy, att, step)
+    q = tables.make_quantizer(_model(ctx), levels, strategy, att,
+                              nodes=ctx.obj["nodes"], step=step)
     query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
                               security_bits=security, n=None)
     summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
@@ -259,7 +244,8 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
     if security < 1:
         _fail("--security must be >= 1 bit")
     att = _attacker(attacker, p_d, p_a)
-    q = _quantizer(ctx, levels, strategy, att)
+    q = tables.make_quantizer(_model(ctx), levels, strategy, att,
+                              nodes=ctx.obj["nodes"])
     query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
                               security_bits=security, n=n)
     summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
@@ -285,24 +271,17 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
 @click.option("--seed", "seed", type=int, default=None,
               help="Overrides the global --seed for this run.")
-@click.option("--attacker", type=click.Choice(["digital", "analog"]),
-              default=None)
-@click.option("--pd", "p_d", type=float, default=None)
-@click.option("--pa", "p_a", type=float, default=None)
 @click.option("--negative-control", "negative",
               type=click.Choice(["center-distance"]), default=None,
               help="Run the leakage test with the broken helper scheme.")
 @click.option("--dump-csv", type=click.Path(dir_okay=False), default=None,
               help="Write (S, W, S~) sample triples (capped at 1e6 rows).")
 @click.pass_context
-def simulate(ctx, levels, strategy, step, samples, seed, attacker, p_d, p_a,
-             negative, dump_csv):
+def simulate(ctx, levels, strategy, step, samples, seed, negative, dump_csv):
     """Monte-Carlo run of the enrollment/reconstruction pipeline."""
-    att = _attacker(attacker, p_d, p_a) if attacker else None
-    q = _quantizer(ctx, levels, strategy, att, step)
+    q = tables.make_quantizer(_model(ctx), levels, strategy, step=step)
     use_seed = ctx.obj["seed"] if seed is None else seed
-    cfg = sim.SimConfig(_model(ctx), q, samples=samples, seed=use_seed,
-                        attacker=att)
+    cfg = sim.SimConfig(_model(ctx), q, samples=samples, seed=use_seed)
     payload = json.loads(sim.run_simulation(cfg).to_json())
     helper = negative or "zero-leakage"
     payload["leakage_test"] = {

@@ -31,6 +31,11 @@ from .bounds import _asymptotic_rate
 
 KNOT_MARGIN = 1e-6
 _STEP_SUBINTERVALS = 3
+# Default evaluation budget per alphabet size.  Small alphabets converge
+# well inside it; from 64 levels on the budget binds.  Another N takes the
+# budget of the smallest listed N above it, and 150 above 256.
+_BUDGETS = {2: 100, 4: 400, 8: 900, 16: 1800, 32: 2400,
+            64: 900, 128: 300, 256: 150}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,9 +132,10 @@ def _symmetric_quantizer(model: PufModel, h: np.ndarray,
 
 
 def optimize_quantizer(model: PufModel, levels: int,
-                       objective: AttackerSpec, budget: int = 2000, *,
-                       nodes: int = 128):
-    """Best mirror-symmetric input quantizer found within the budget.
+                       objective: AttackerSpec, budget: int | None = None,
+                       *, nodes: int = 128):
+    """Best mirror-symmetric input quantizer found within the budget, by
+    default the per-alphabet `_BUDGETS`.
 
     The source and the noise are symmetric about zero, so only the lower
     half of the knot vector is searched.  The two structured starts, the
@@ -145,6 +151,8 @@ def optimize_quantizer(model: PufModel, levels: int,
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
+    if budget is None:
+        budget = next((b for n, b in _BUDGETS.items() if n >= levels), 150)
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
     # local: only the optimizer needs scipy.optimize, which is slow to import

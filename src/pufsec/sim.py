@@ -192,19 +192,19 @@ def run_simulation(cfg: SimConfig) -> SimReport:
     """End-to-end Monte-Carlo run; deterministic for a fixed seed."""
     q = cfg.quantizer
     n = q.levels
-    counts = np.zeros((n, n), dtype=np.int64)
-    w_hist = np.zeros((n, _W_BINS), dtype=np.int64)
+    # one tally of (W bin, S, S~); the (S, S~) counts and the W histograms
+    # are its integer sums
     cond_counts = np.zeros((_W_BINS, n, n), dtype=np.int64)
     lock = threading.Lock()
 
     def job(chunk):
         s, w, s_tilde, _ = _simulate_chunk(cfg, *chunk)
-        _tally(counts, lock, s, s_tilde)
         wb = np.minimum((w * _W_BINS).astype(np.int64), _W_BINS - 1)
-        _tally(w_hist, lock, s, wb)
         _tally(cond_counts, lock, wb, s, s_tilde)
 
     _blocks._run_blocks(job, _chunks(cfg.samples))
+    counts = cond_counts.sum(axis=0)
+    w_hist = cond_counts.sum(axis=2).T
     row = counts.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         matrix = np.where(row > 0, counts / row, 0.0)

@@ -121,12 +121,6 @@ PUBLISHED = {
     },
 }
 
-# Optimizer evaluation budget per alphabet size.  Small alphabets converge
-# well inside it; from 64 levels on the budget binds.
-_OPT_BUDGETS = {2: 100, 4: 400, 8: 900, 16: 1800, 32: 2400,
-                64: 900, 128: 300, 256: 150}
-
-
 @dataclasses.dataclass(frozen=True)
 class TableSpec:
     table_id: int
@@ -166,46 +160,52 @@ class TableSpec:
 
 def equidistant_reference(model: PufModel, levels: int) -> InputQuantizer:
     """Equidistant quantizer over the fixed +-10000 measurement range."""
-    return make_equidistant(model, levels, FIXED_RANGE / levels)
+    return make_quantizer(model, levels, "equidistant")
 
 
-def optimized_quantizer(model: PufModel, levels: int, attacker: AttackerSpec,
-                        nodes: int) -> optimize.OptimizeResult:
-    """The optimizer's search against `attacker` with this module's
-    per-alphabet effort; its rate is the public one, on at most `nodes`
-    nodes, and its search runs on the optimizer's own fixed rule."""
-    return optimize.optimize_quantizer(
-        model, levels, attacker, _OPT_BUDGETS.get(levels, 300), nodes=nodes)
+def make_quantizer(model: PufModel, levels: int, strategy: str,
+                   attacker: AttackerSpec | None = None, *, nodes: int = 128,
+                   step: float | None = None) -> InputQuantizer:
+    """The `strategy` quantizer with `levels` levels: "equiprobable";
+    "equidistant" with `step`, by default the fixed-range FIXED_RANGE /
+    levels; or "optimized", the optimizer's search against `attacker` at
+    its default per-alphabet effort, on at most `nodes` nodes."""
+    if strategy == "equiprobable":
+        return make_equiprobable(model, levels)
+    if strategy == "equidistant":
+        # at levels 0 no step is divided out: make_equidistant rejects it
+        return make_equidistant(model, levels, FIXED_RANGE / levels
+                                if step is None and levels else step)
+    if strategy != "optimized":
+        raise DomainError(f"unknown quantizer strategy {strategy!r}")
+    if attacker is None:
+        raise DomainError("the optimized strategy needs an attacker")
+    return optimize.optimize_quantizer(model, levels, attacker,
+                                       nodes=nodes).quantizer
 
 
 def _rate_row(model, levels, p_d, p_a, nodes):
-    dig = AttackerSpec("digital", p_d=p_d)
-    ana = AttackerSpec("analog", p_d=p_d, p_a=p_a)
-
-    def pair(q):
-        s = bounds.summarize_channel(q, model, nodes=nodes)
-        return (bounds.asymptotic_rate_digital(s, p_d=p_d),
-                bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0])
-
-    eq_dig, eq_ana = pair(equidistant_reference(model, levels))
-    ep_dig, ep_ana = pair(make_equiprobable(model, levels))
+    row = []
+    for strategy in ("equidistant", "equiprobable"):
+        s = bounds.summarize_channel(make_quantizer(model, levels, strategy),
+                                     model, nodes=nodes)
+        row += [bounds.asymptotic_rate_digital(s, p_d=p_d),
+                bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0]]
     # each objective's cell is the optimizer's own rate, the public one at
     # `nodes`; the search never ends below its equiprobable start on its
     # search rule, and the max keeps that explicit at `nodes`
-    op_dig = max(optimized_quantizer(model, levels, dig, nodes).rate, ep_dig)
-    op_ana = max(optimized_quantizer(model, levels, ana, nodes).rate, ep_ana)
-    return (eq_dig, eq_ana, ep_dig, ep_ana, op_dig, op_ana)
+    for att, start in zip((AttackerSpec("digital", p_d=p_d),
+                           AttackerSpec("analog", p_d=p_d, p_a=p_a)),
+                          row[2:4]):
+        res = optimize.optimize_quantizer(model, levels, att, nodes=nodes)
+        row.append(max(res.rate, start))
+    return tuple(row)
 
 
 def _cells_row(model, levels, params, nodes, cap):
-    if params["strategy"] == "equiprobable":
-        q = make_equiprobable(model, levels)
-    else:
-        q = equidistant_reference(model, levels)
-    if params["attacker"] == "digital":
-        att = AttackerSpec("digital", p_d=params["p_d"])
-    else:
-        att = AttackerSpec("analog", p_d=params["p_d"], p_a=params["p_a"])
+    q = make_quantizer(model, levels, params["strategy"])
+    att = AttackerSpec(params["attacker"], p_d=params["p_d"],
+                       p_a=params.get("p_a"))
     summary = bounds.summarize_channel(q, model, nodes=nodes)
     out = []
     for lam in SECURITY_LEVELS:

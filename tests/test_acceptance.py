@@ -242,13 +242,16 @@ def test_criterion_8_degenerate_identities():
     digital one at p_a = p_d, both to 1e-12.  The reduction is tested on
     the noiseless channel: for noisy channels the two differ (the analog
     view is strictly more informative); see DECISIONS.md, "Noisy analog
-    v2 does not reduce to the digital one"."""
-    m = PufModel(2241.0, 1e-6)          # identity channel in double precision
-    s = bounds.summarize_channel(make_equiprobable(m, 8), m, nodes=64)
+    v2 does not reduce to the digital one".  The noiseless channel is
+    sigma_N = 0 itself and the stand-in 1e-6, the identity channel in
+    double precision."""
     ok = True
-    for p_d in (0.1, 0.18, 0.5, 0.9):
-        ref = p_d * (1.0 - p_d) * math.log2(8) ** 2
-        ok = ok and abs(bounds.dispersion_v2_digital(s, p_d) - ref) < 1e-12
-        ok = ok and abs(bounds.dispersion_v2_analog(s, p_d, p_d)
-                        - bounds.dispersion_v2_digital(s, p_d)) < 1e-12
+    for sigma_n in (0.0, 1e-6):
+        m = PufModel(2241.0, sigma_n)
+        s = bounds.summarize_channel(make_equiprobable(m, 8), m, nodes=64)
+        for p_d in (0.1, 0.18, 0.5, 0.9):
+            ref = p_d * (1.0 - p_d) * math.log2(8) ** 2
+            ok = ok and abs(bounds.dispersion_v2_digital(s, p_d) - ref) < 1e-12
+            ok = ok and abs(bounds.dispersion_v2_analog(s, p_d, p_d)
+                            - bounds.dispersion_v2_digital(s, p_d)) < 1e-12
     report(8, ok)

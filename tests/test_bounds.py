@@ -118,26 +118,32 @@ class TestDegenerateIdentities:
     @staticmethod
     @pytest.fixture(scope="class")
     def noiseless():
-        # sigma_n six orders below the level spacing: the channel matrix
-        # is exactly the identity in double precision
-        m = PufModel(2241.0, 1e-6)
-        s = bounds.summarize_channel(make_equiprobable(m, 8), m, nodes=64)
-        assert np.allclose(s.joint, np.diag(s.probs), atol=1e-300)
-        return s
+        # sigma_n = 0 itself, and sigma_n six orders below the level
+        # spacing: both channel matrices are exactly the identity in double
+        # precision
+        out = []
+        for sigma_n in (0.0, 1e-6):
+            m = PufModel(2241.0, sigma_n)
+            s = bounds.summarize_channel(make_equiprobable(m, 8), m, nodes=64)
+            assert np.array_equal(s.joint, np.diag(s.probs))
+            out.append(s)
+        return out
 
     @pytest.mark.parametrize("p_d", [0.0, 0.1, 0.18, 0.5, 0.9])
     def test_noiseless_uniform_v2(self, noiseless, p_d):
         ref = p_d * (1.0 - p_d) * math.log2(8) ** 2
-        assert bounds.dispersion_v2_digital(noiseless, p_d) == pytest.approx(
-            ref, abs=1e-12)
+        for s in noiseless:
+            assert bounds.dispersion_v2_digital(s, p_d) == pytest.approx(
+                ref, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.18, 0.4])
     def test_noiseless_analog_v2_reduces_to_digital(self, noiseless, p):
         # at p_a = p_d the analog attacker's extra coordinate is always
         # erased together with the digital one; for a noiseless channel
         # the remaining (s~, s) outcome carries the same density as s~
-        assert bounds.dispersion_v2_analog(noiseless, p, p) == pytest.approx(
-            bounds.dispersion_v2_digital(noiseless, p), abs=1e-12)
+        for s in noiseless:
+            assert bounds.dispersion_v2_analog(s, p, p) == pytest.approx(
+                bounds.dispersion_v2_digital(s, p), abs=1e-12)
 
     def test_noisy_analog_v2_does_not_reduce(self):
         # documented deviation: with substantial channel noise the analog

@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from pufsec.channel import (_PHI_ONE, _PHI_ZERO, AttackerSpec, ChannelMatrix,
                             averaged_channel, per_w_channels)
 from pufsec.info import entropy, mutual_information
 from pufsec.optimize import _symmetric_quantizer
-from pufsec.tables import equidistant_reference
+from pufsec.tables import make_quantizer
 from blockpool import (pooled_crowded_inline, spy_public_calls,
                        spy_threads)
 from oracles import (analog_triple, decision_intervals, dense_mi_per_node,
@@ -85,10 +86,22 @@ class TestChannelMatrix:
             ChannelMatrix(per_w_channels(make_equiprobable(PufModel(), 4),
                                          [0.0])[0])
 
-    def test_sigma_n_zero_rejected(self):
-        q = make_equiprobable(PufModel(2241.0, 0.0), 4)
-        with pytest.raises(DomainError):
-            per_w_channels(q, [0.5])
+    def test_sigma_n_zero_is_the_identity(self):
+        # the borders are the sibling points' midpoints and z = +-inf, so
+        # every row is one 1 and the rest 0, with no RuntimeWarning
+        m = PufModel(2241.0, 0.0)
+        for strategy, levels in (("equiprobable", 2), ("equiprobable", 3),
+                                 ("equiprobable", 64), ("equidistant", 16),
+                                 ("equidistant", 256)):
+            q = make_quantizer(m, levels, strategy)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mats = per_w_channels(q, np.linspace(0.01, 0.99, 7))
+                s = bounds.summarize_channel(q, m)
+            assert np.array_equal(
+                mats, np.broadcast_to(np.eye(levels), mats.shape))
+            assert np.array_equal(s.joint, np.diag(s.probs))
+            assert abs(s.i_cond - entropy(q.probs)) <= 1e-15
 
     @pytest.mark.parametrize("entry", [
         lambda q, m: per_w_channels(q, [0.5], m),
@@ -132,10 +145,7 @@ class TestBandKernel:
     @pytest.mark.parametrize("levels", (2, 3, 4, 8, 16, 32, 64, 128, 256))
     @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
     def test_table_quantizers_match_dense(self, strategy, levels):
-        if strategy == "equiprobable":
-            q = make_equiprobable(MODEL, levels)
-        else:
-            q = equidistant_reference(MODEL, levels)
+        q = _table_quantizer(strategy, levels)
         # K = 100 is no multiple of the block's node count at N = 32..128; the
         # dense oracle's memory grows as K N^2, so N = 256 stops at K = 128
         for k in (16, 64, 100, 128, 256):
@@ -154,9 +164,7 @@ class TestBandKernel:
 
 
 def _table_quantizer(strategy, levels):
-    if strategy == "equiprobable":
-        return make_equiprobable(MODEL, levels)
-    return equidistant_reference(MODEL, levels)
+    return make_quantizer(MODEL, levels, strategy)
 
 
 def _optimizer_candidate(seed):

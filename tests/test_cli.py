@@ -104,6 +104,18 @@ DOMAIN_ERRORS = {
                       "--seed", "-1"],
     "global-seed": ["--seed", "-1", "simulate", "--levels", "8",
                     "--samples", "1000"],
+    # levels < 2 is the quantizer constructors' DomainError
+    "rate-levels-1": ["rate", "--attacker", "digital", "--pd", "0.18",
+                      "--levels", "1"],
+    "cells-levels-1": ["cells", "--attacker", "digital", "--pd", "0.18",
+                       "--security", "128", "--levels", "1"],
+    "audit-levels-1": ["audit", "--cells", "1000", "--levels", "1"],
+    "simulate-levels-1": ["simulate", "--samples", "1000", "--levels", "1"],
+    "rate-optimized-levels-1": ["rate", "--attacker", "digital", "--pd",
+                                "0.18", "--strategy", "optimized",
+                                "--levels", "1"],
+    "simulate-equidistant-levels-0": ["simulate", "--samples", "1000",
+                                      *EQUIDISTANT, "--levels", "0"],
     # the digital cell tables have no p_a to override
     "table-digital-pa": ["table", "--id", "3", "--override", "pa=0.9"],
 }

@@ -9,7 +9,7 @@ from pufsec import bounds
 from pufsec.channel import _quadrature, _rule
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
-from pufsec.tables import RATE_LEVELS, equidistant_reference
+from pufsec.tables import RATE_LEVELS, make_quantizer
 from pufsec.info import entropy, mutual_information
 
 
@@ -136,8 +136,7 @@ class TestConditionalMI:
         # the gap is largest at equiprobable N = 32, 1.235e-3 bits
         m = PufModel()
         for n in RATE_LEVELS:
-            q = (make_equiprobable(m, n) if strategy == "equiprobable"
-                 else equidistant_reference(m, n))
+            q = make_quantizer(m, n, strategy)
             s = bounds.summarize_channel(q)
             assert -1e-12 <= s.i_cond - s.i_avg <= 1.3e-3
 

@@ -131,6 +131,15 @@ class TestOptimizer:
         assert np.array_equal(a.quantizer.inner_borders,
                               b.quantizer.inner_borders)
 
+    def test_default_budget_between_listed_alphabets(self):
+        # N = 24 takes N = 32's budget: at 300 evaluations, the old default
+        # for an unlisted N, the search ran out at rate 0.692307
+        res = optimize_quantizer(MODEL, 24, DIGITAL)
+        assert not res.budget_exhausted
+        assert res.evaluations <= optimize._BUDGETS[32]
+        assert res.rate >= 0.69231
+        assert _below_unquantized(res)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             optimize_quantizer(MODEL, 1, DIGITAL)

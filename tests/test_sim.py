@@ -17,6 +17,7 @@ from pufsec.channel import AttackerSpec, averaged_channel
 from pufsec.sim import (SimConfig, attacker_observations, leakage_test,
                         run_simulation)
 from pufsec.info import mutual_information
+from pufsec.tables import make_quantizer
 from blockpool import pooled_crowded_inline, spy_public_calls, spy_threads
 from oracles import full_row_simulate_chunk, leakage_samples, plugin_mi
 
@@ -64,6 +65,18 @@ class TestPipeline:
         rep = run_simulation(cfg)
         assert rep.error_rate == 0.0
         assert np.allclose(rep.matrix, np.eye(8))
+
+    @pytest.mark.parametrize("strategy,n", [("equiprobable", 8),
+                                            ("equidistant", 8)])
+    def test_noiseless_matches_averaged_channel(self, strategy, n):
+        # sigma_N = 0 on both routes: S~ = S in the simulator, and the
+        # identity channel from the quadrature's own arithmetic
+        m = PufModel(2241.0, 0.0)
+        q = make_quantizer(m, n, strategy)
+        rep = run_simulation(SimConfig(m, q, samples=20_000, seed=6))
+        theory = averaged_channel(q, nodes=128).p
+        assert np.array_equal(theory, np.eye(n))
+        assert np.array_equal(rep.matrix, theory)
 
     def test_matrix_matches_quadrature_within_3se(self):
         # acceptance criterion run: 1e7 samples, seed 42, N=4 equiprobable

@@ -1,15 +1,16 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pufsec import bounds
-from pufsec.quantizer import make_equiprobable
 from pufsec.stats import DomainError, PufModel
 from pufsec.channel import AttackerSpec
+from pufsec.optimize import optimize_quantizer
 from pufsec.tables import (CAPTIONS, CELL_COLUMNS, CELL_LEVELS, PUBLISHED,
                            RATE_COLUMNS, RATE_LEVELS, TableSpec,
                            equidistant_reference, generate_table,
-                           optimized_quantizer, render)
+                           make_quantizer, render)
 from oracles import unquantized_rate
 
 MODEL = PufModel()
@@ -66,6 +67,31 @@ class TestEquidistantReference:
         assert q.inner_borders[0] == -7500.0 and q.inner_borders[-1] == 7500.0
 
 
+class TestMakeQuantizer:
+    def test_step_defaults_to_the_fixed_range_only_when_absent(self):
+        assert make_quantizer(MODEL, 8, "equidistant").step == 2500.0
+        assert make_quantizer(MODEL, 8, "equidistant", step=1000.0).step \
+            == 1000.0
+        # step 0 is an error, not the default step; levels 0 is rejected
+        # as levels, not divided by
+        for levels, step in ((8, 0.0), (0, None), (1, None)):
+            with pytest.raises(DomainError):
+                make_quantizer(MODEL, levels, "equidistant", step=step)
+
+    def test_optimized_is_the_optimizers_quantizer(self):
+        dig = AttackerSpec("digital", p_d=0.18)
+        q = make_quantizer(MODEL, 4, "optimized", dig, nodes=64)
+        res = optimize_quantizer(MODEL, 4, dig, nodes=64)
+        assert q.kind == "optimized"
+        assert np.array_equal(q.inner_borders, res.quantizer.inner_borders)
+
+    def test_unknown_strategy_and_missing_attacker(self):
+        with pytest.raises(DomainError, match="strategy"):
+            make_quantizer(MODEL, 4, "uniform")
+        with pytest.raises(DomainError, match="attacker"):
+            make_quantizer(MODEL, 4, "optimized")
+
+
 class TestGeneration:
     @staticmethod
     @pytest.fixture(scope="class")
@@ -113,9 +139,8 @@ RATE_EXCEPTIONS = {(2, 64, "equiprobable digital"): 0.71652}
 
 @pytest.mark.parametrize("levels", RATE_LEVELS)
 def test_non_optimized_rate_cells_match_published(levels):
-    quantizers = {"equidistant": equidistant_reference(MODEL, levels),
-                  "equiprobable": make_equiprobable(MODEL, levels)}
-    for strategy, q in quantizers.items():
+    for strategy in ("equidistant", "equiprobable"):
+        q = make_quantizer(MODEL, levels, strategy)
         s = bounds.summarize_channel(q, MODEL)
         for tid in (1, 2):
             p_d, p_a = CAPTIONS[tid]["p_d"], CAPTIONS[tid]["p_a"]
@@ -170,10 +195,10 @@ def test_optimized_cell_is_the_public_rate_of_its_quantizer():
     ana = AttackerSpec("analog", p_d=0.18, p_a=0.36)
     limit = unquantized_rate(MODEL, 0.18)
     for levels in (4, 8):
-        res = optimized_quantizer(MODEL, levels, dig, 128)
+        res = optimize_quantizer(MODEL, levels, dig, nodes=128)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         assert res.rate == bounds.asymptotic_rate_digital(s, p_d=0.18)
-        res = optimized_quantizer(MODEL, levels, ana, 128)
+        res = optimize_quantizer(MODEL, levels, ana, nodes=128)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         lower, upper = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)
         assert res.rate == lower
