@@ -28,6 +28,8 @@ from .quantizer import InputQuantizer
 from .channel import AttackerSpec, _quadrature, per_w_channels  # noqa: F401
 from .info import _log_ratios, _validate_pmf, entropy
 
+# The largest cell count min_cells searches by default; the published
+# tables stop reporting above it.
 LOG2_CAP_DEFAULT = 20000
 
 
@@ -214,51 +216,39 @@ def _check_n(n):
         raise DomainError(f"n must be a positive integer, got {n!r}")
 
 
-def _check_eps_delta(epsilon, delta=None, security_bits=None):
-    if (delta is None) == (security_bits is None):
-        raise DomainError("pass exactly one of delta or security_bits")
-    if security_bits is not None and security_bits < 1:
-        raise DomainError(f"security level must be >= 1 bit, got {security_bits}")
-    if delta is not None and not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0,1), got {delta!r}")
+def _check_eps_lambda(epsilon, security_bits):
+    if security_bits is None or not security_bits >= 1:
+        raise DomainError(
+            f"security level must be >= 1 bit, got {security_bits}")
     if not 0.0 < epsilon < 1.0:
         raise DomainError(f"epsilon must lie in (0,1), got {epsilon!r}")
-    d = _delta_value(delta, security_bits)
-    if epsilon + d >= 1.0:
+    delta = 2.0 ** -float(security_bits)
+    if epsilon + delta >= 1.0:
         raise DomainError(
-            f"epsilon + delta must be < 1, got {epsilon} + {d}")
-
-
-def _delta_value(delta=None, security_bits=None) -> float:
-    if security_bits is not None:
-        return 2.0 ** -float(security_bits)
-    return float(delta)
+            f"epsilon + delta must be < 1, got {epsilon} + {delta}")
 
 
 def _rate_terms(att: AttackerSpec, direction: str, s: ChannelSummary,
-                epsilon: float, delta=None, security_bits=None):
+                epsilon: float, security_bits: float):
     """(first, penalty) with rate(n) = first - penalty / sqrt(n), the
-    normal approximation of the achievability or converse bound; epsilon
-    and delta/security_bits must already be checked."""
+    normal approximation of the achievability or converse bound at
+    delta = 2^-security_bits; epsilon and security_bits must already be
+    checked."""
     first = _first_order(att, direction, s.i_cond, s.h_s, s.i_avg)
     if direction == "achievability":
         if att.kind == "digital":
             v2 = dispersion_v2_digital(s, att.p_d)
         else:
             v2 = dispersion_v2_analog(s, att.p_d, att.p_a)
-        if security_bits is not None:
-            qinv_delta = q_inverse(log2_p=-float(security_bits))
-        else:
-            qinv_delta = q_inverse(delta)
         penalty = (math.sqrt(dispersion_v1(s)) * q_inverse(epsilon)
-                   + math.sqrt(v2) * qinv_delta)
+                   + math.sqrt(v2) * q_inverse(log2_p=-float(security_bits)))
     else:
         if att.kind == "digital":
             vc = dispersion_vc_prime_digital(s, att.p_d)
         else:
             vc = dispersion_vc_analog(s, att.p_d)
         penalty = math.sqrt(vc) * q_inverse(
-            epsilon + _delta_value(delta, security_bits))
+            epsilon + 2.0 ** -float(security_bits))
     return first, penalty
 
 
@@ -266,47 +256,44 @@ def _rate_at(first: float, penalty: float, n) -> float:
     return first - penalty / math.sqrt(n)
 
 
-def _finite_rate(att, direction, s, n, epsilon, delta, security_bits):
+def _finite_rate(att, direction, s, n, epsilon, security_bits):
     _check_n(n)
-    _check_eps_delta(epsilon, delta, security_bits)
+    _check_eps_lambda(epsilon, security_bits)
     _check_summary(s)
-    return _rate_at(*_rate_terms(att, direction, s, epsilon, delta,
-                                 security_bits), n)
+    return _rate_at(*_rate_terms(att, direction, s, epsilon, security_bits),
+                    n)
 
 
 def finite_rate_digital_ach(s: ChannelSummary, p_d=0.1, n=1000, epsilon=1e-6,
-                            delta=None, *, security_bits=None) -> float:
+                            *, security_bits=None) -> float:
     """Normal-approximation achievable key rate against the digital
     attacker (may be negative; callers clamp)."""
     return _finite_rate(AttackerSpec("digital", p_d=p_d), "achievability",
-                        s, n, epsilon, delta, security_bits)
+                        s, n, epsilon, security_bits)
 
 
 def finite_rate_digital_conv(s: ChannelSummary, p_d=0.1, n=1000,
-                             epsilon=1e-6, delta=None, *,
-                             security_bits=None) -> float:
+                             epsilon=1e-6, *, security_bits=None) -> float:
     """Exact second-order converse rate against the digital attacker."""
     return _finite_rate(AttackerSpec("digital", p_d=p_d), "converse",
-                        s, n, epsilon, delta, security_bits)
+                        s, n, epsilon, security_bits)
 
 
 def finite_rate_analog_ach(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
-                           epsilon=1e-6, delta=None, *,
-                           security_bits=None) -> float:
+                           epsilon=1e-6, *, security_bits=None) -> float:
     """Normal-approximation achievable key rate against the analog
     attacker (may be negative; callers clamp)."""
     return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a),
-                        "achievability", s, n, epsilon, delta, security_bits)
+                        "achievability", s, n, epsilon, security_bits)
 
 
 def finite_rate_analog_conv(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
-                            epsilon=1e-6, delta=None, *,
-                            security_bits=None) -> float:
+                            epsilon=1e-6, *, security_bits=None) -> float:
     """Second-order converse rate against the analog attacker, with the
     default (reference) dispersion variant.  The value does not depend on
     p_a; the argument is kept for interface symmetry."""
     return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a), "converse",
-                        s, n, epsilon, delta, security_bits)
+                        s, n, epsilon, security_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +303,23 @@ def finite_rate_analog_conv(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
 @dataclasses.dataclass(frozen=True)
 class BoundQuery:
     """One evaluation request: attacker model, quantizer, reliability
-    epsilon and either an explicit delta or a security level in bits."""
+    epsilon and a security level lambda in bits, delta = 2^-lambda."""
 
     attacker: AttackerSpec
     quantizer: InputQuantizer
     epsilon: float
     security_bits: float | None = None
-    delta: float | None = None
     n: int | None = None
 
     def __post_init__(self):
-        _check_eps_delta(self.epsilon, self.delta, self.security_bits)
+        _check_eps_lambda(self.epsilon, self.security_bits)
         if self.n is not None:
             _check_n(self.n)
 
     @property
     def target_bits(self) -> float:
-        """Secret size the searched code must carry: lambda, or
-        -log2(delta) when delta is given explicitly."""
-        if self.security_bits is not None:
-            return float(self.security_bits)
-        return -math.log2(self.delta)
+        """Secret size the searched code must carry: lambda."""
+        return float(self.security_bits)
 
 
 def min_cells(query: BoundQuery, direction: str,
@@ -365,8 +348,7 @@ def min_cells(query: BoundQuery, direction: str,
         raise DomainError("the summary is of another quantizer or model "
                           "than the query")
     first, penalty = _rate_terms(query.attacker, direction, summary,
-                                 query.epsilon, query.delta,
-                                 query.security_bits)
+                                 query.epsilon, query.security_bits)
     if not first > 0.0:
         return None
     target = query.target_bits

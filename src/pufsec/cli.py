@@ -56,7 +56,8 @@ def _quadrature_fields(summary) -> dict:
 _CELL_COUNTS = ("cells_ach", "cells_conv", "converse_min_cells")
 
 
-def _render_record(ctx, record: dict, cap: int = tables.CELL_CAP) -> str:
+def _render_record(ctx, record: dict,
+                   cap: int = bounds.LOG2_CAP_DEFAULT) -> str:
     """A query record as JSON, CSV or aligned lines; a cell count of None
     reads ">cap", the cap the query searched, and any other None (the
     audit's gap when there is no count) reads as absent: "-" in markdown,
@@ -137,9 +138,8 @@ def main(ctx, sigma_p, sigma_n, nodes, fmt, out, seed):
 def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     """Asymptotic secret-key rate in bits per PUF cell."""
     att = _attacker(attacker, p_d, p_a)
-    q = tables.make_quantizer(_model(ctx), levels, strategy, att,
-                              nodes=ctx.obj["nodes"], step=step)
-    s = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
+    s = tables.summarize_strategy(_model(ctx), levels, strategy, att,
+                                  nodes=ctx.obj["nodes"], step=step)
     record = {"attacker": attacker, "levels": levels,
               "strategy": strategy, "p_d": p_d}
     if attacker == "digital":
@@ -164,7 +164,8 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
               help="Tolerated key-reconstruction failure probability.")
 @click.option("--security", type=float, required=True,
               help="Security level lambda in bits (delta = 2^-lambda).")
-@click.option("--cap", type=int, default=tables.CELL_CAP, show_default=True)
+@click.option("--cap", type=int, default=bounds.LOG2_CAP_DEFAULT,
+              show_default=True)
 @click.pass_context
 def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
           cap):
@@ -172,11 +173,10 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
     if security < 1:
         _fail("--security must be >= 1 bit")
     att = _attacker(attacker, p_d, p_a)
-    q = tables.make_quantizer(_model(ctx), levels, strategy, att,
-                              nodes=ctx.obj["nodes"], step=step)
-    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
-                              security_bits=security, n=None)
-    summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
+    summary = tables.summarize_strategy(_model(ctx), levels, strategy, att,
+                                        nodes=ctx.obj["nodes"], step=step)
+    query = bounds.BoundQuery(attacker=att, quantizer=summary.quantizer,
+                              epsilon=eps, security_bits=security, n=None)
     ach = bounds.min_cells(query, "achievability", cap, summary=summary)
     conv = bounds.min_cells(query, "converse", cap, summary=summary)
     record = {"attacker": attacker, "levels": levels, "strategy": strategy,
@@ -244,11 +244,10 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
     if security < 1:
         _fail("--security must be >= 1 bit")
     att = _attacker(attacker, p_d, p_a)
-    q = tables.make_quantizer(_model(ctx), levels, strategy, att,
-                              nodes=ctx.obj["nodes"])
-    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
-                              security_bits=security, n=n)
-    summary = bounds.summarize_channel(q, _model(ctx), nodes=ctx.obj["nodes"])
+    summary = tables.summarize_strategy(_model(ctx), levels, strategy, att,
+                                        nodes=ctx.obj["nodes"])
+    query = bounds.BoundQuery(attacker=att, quantizer=summary.quantizer,
+                              epsilon=eps, security_bits=security, n=n)
     cap = max(10 * n, 10 ** 6)
     conv = bounds.min_cells(query, "converse", cap, summary=summary)
     feasible = conv is not None and n >= conv

@@ -24,10 +24,10 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _rule makes the call: the
 # perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _SEARCH_NODES, _quadrature, _rule
+from .channel import AttackerSpec, _SEARCH_NODES, _rule
 from .channel import per_w_channels  # noqa: F401
 from .info import entropy
-from .bounds import _asymptotic_rate
+from .bounds import ChannelSummary, _asymptotic_rate, summarize_channel
 
 KNOT_MARGIN = 1e-6
 _STEP_SUBINTERVALS = 3
@@ -40,11 +40,15 @@ _BUDGETS = {2: 100, 4: 400, 8: 900, 16: 1800, 32: 2400,
 
 @dataclasses.dataclass(frozen=True)
 class OptimizeResult:
-    quantizer: InputQuantizer
-    rate: float
+    summary: ChannelSummary     # of the quantizer found
+    rate: float                 # the objective's public rate on `summary`
     evaluations: int
     budget_exhausted: bool
     objective: AttackerSpec
+
+    @property
+    def quantizer(self) -> InputQuantizer:
+        return self.summary.quantizer
 
 
 def _rate(q: InputQuantizer, attacker: AttackerSpec, nodes: int) -> float:
@@ -144,10 +148,10 @@ def optimize_quantizer(model: PufModel, levels: int,
     The search is deterministic, its objective is never below the better
     start's, and it makes at most max(budget, 2) objective evaluations.
     Every candidate, the starts included, is scored on the one
-    min(`nodes`, 32)-point rule (`channel._SEARCH_NODES`); the reported
-    rate is the public one, on the error-controlled quadrature capped at
-    `nodes` (128 by default, as in `asymptotic_rate_*` and
-    `summarize_channel`).
+    min(`nodes`, 32)-point rule (`channel._SEARCH_NODES`); the result
+    carries the found quantizer's `summarize_channel` summary at `nodes`
+    (128 by default, as in `asymptotic_rate_*`), and its rate is the
+    public one on that summary.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -187,11 +191,11 @@ def optimize_quantizer(model: PufModel, levels: int,
                      "xatol": 1e-6, "fatol": 1e-9, "adaptive": True})
         if res.fun < best_f:
             best_h, best_f = res.x, res.fun
-    q = _symmetric_quantizer(model, best_h, levels)
     # the search scores on one fixed rule; the reported rate is re-scored
     # on the error-controlled quadrature every public rate uses
-    rate = _asymptotic_rate(objective, _quadrature(q, model, nodes)[1],
-                            entropy(q.probs))
+    s = summarize_channel(_symmetric_quantizer(model, best_h, levels), model,
+                          nodes=nodes)
     return OptimizeResult(
-        quantizer=q, rate=rate, evaluations=evals,
-        budget_exhausted=evals >= budget, objective=objective)
+        summary=s, rate=_asymptotic_rate(objective, s.i_cond, s.h_s),
+        evaluations=evals, budget_exhausted=evals >= budget,
+        objective=objective)

@@ -19,7 +19,6 @@ from .channel import AttackerSpec
 from . import bounds, optimize
 
 FIXED_RANGE = 20000.0          # full-scale measurement range of the reference
-CELL_CAP = 20000               # published tables stop reporting above this
 
 RATE_COLUMNS = ("equidistant digital", "equidistant analog",
                 "equiprobable digital", "equiprobable analog",
@@ -163,64 +162,73 @@ def equidistant_reference(model: PufModel, levels: int) -> InputQuantizer:
     return make_quantizer(model, levels, "equidistant")
 
 
-def make_quantizer(model: PufModel, levels: int, strategy: str,
-                   attacker: AttackerSpec | None = None, *, nodes: int = 128,
+def make_quantizer(model: PufModel, levels: int, strategy: str, *,
                    step: float | None = None) -> InputQuantizer:
-    """The `strategy` quantizer with `levels` levels: "equiprobable";
+    """The `strategy` quantizer with `levels` levels: "equiprobable", or
     "equidistant" with `step`, by default the fixed-range FIXED_RANGE /
-    levels; or "optimized", the optimizer's search against `attacker` at
-    its default per-alphabet effort, on at most `nodes` nodes."""
+    levels."""
     if strategy == "equiprobable":
         return make_equiprobable(model, levels)
-    if strategy == "equidistant":
-        # at levels 0 no step is divided out: make_equidistant rejects it
-        return make_equidistant(model, levels, FIXED_RANGE / levels
-                                if step is None and levels else step)
-    if strategy != "optimized":
+    if strategy != "equidistant":
         raise DomainError(f"unknown quantizer strategy {strategy!r}")
+    # at levels 0 no step is divided out: make_equidistant rejects it
+    return make_equidistant(model, levels, FIXED_RANGE / levels
+                            if step is None and levels else step)
+
+
+def summarize_strategy(model: PufModel, levels: int, strategy: str,
+                       attacker: AttackerSpec | None = None, *,
+                       nodes: int = 128,
+                       step: float | None = None) -> bounds.ChannelSummary:
+    """Channel summary of the `strategy` quantizer on at most `nodes`
+    nodes: make_quantizer's, or for "optimized" the summary the optimizer
+    returns with its search against `attacker` at its default
+    per-alphabet effort."""
+    if strategy != "optimized":
+        return bounds.summarize_channel(
+            make_quantizer(model, levels, strategy, step=step), model,
+            nodes=nodes)
     if attacker is None:
         raise DomainError("the optimized strategy needs an attacker")
     return optimize.optimize_quantizer(model, levels, attacker,
-                                       nodes=nodes).quantizer
+                                       nodes=nodes).summary
 
 
 def _rate_row(model, levels, p_d, p_a, nodes):
+    def rates(s):                   # (digital, analog lower bound)
+        return [bounds.asymptotic_rate_digital(s, p_d=p_d),
+                bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0]]
+
     row = []
     for strategy in ("equidistant", "equiprobable"):
-        s = bounds.summarize_channel(make_quantizer(model, levels, strategy),
-                                     model, nodes=nodes)
-        row += [bounds.asymptotic_rate_digital(s, p_d=p_d),
-                bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0]]
-    # each objective's cell is the optimizer's own rate, the public one at
-    # `nodes`; the search never ends below its equiprobable start on its
-    # search rule, and the max keeps that explicit at `nodes`
-    for att, start in zip((AttackerSpec("digital", p_d=p_d),
-                           AttackerSpec("analog", p_d=p_d, p_a=p_a)),
-                          row[2:4]):
-        res = optimize.optimize_quantizer(model, levels, att, nodes=nodes)
-        row.append(max(res.rate, start))
+        row += rates(summarize_strategy(model, levels, strategy, nodes=nodes))
+    # each objective's cell is its public rate on the optimizer's summary;
+    # the search never ends below its equiprobable start on its search
+    # rule, and the max keeps that explicit at `nodes`
+    for k, att in enumerate((AttackerSpec("digital", p_d=p_d),
+                             AttackerSpec("analog", p_d=p_d, p_a=p_a))):
+        s = summarize_strategy(model, levels, "optimized", att, nodes=nodes)
+        row.append(max(rates(s)[k], row[2 + k]))
     return tuple(row)
 
 
-def _cells_row(model, levels, params, nodes, cap):
-    q = make_quantizer(model, levels, params["strategy"])
+def _cells_row(model, levels, params, nodes):
     att = AttackerSpec(params["attacker"], p_d=params["p_d"],
                        p_a=params.get("p_a"))
-    summary = bounds.summarize_channel(q, model, nodes=nodes)
+    summary = summarize_strategy(model, levels, params["strategy"], att,
+                                 nodes=nodes)
     out = []
     for lam in SECURITY_LEVELS:
-        query = bounds.BoundQuery(attacker=att, quantizer=q,
+        query = bounds.BoundQuery(attacker=att, quantizer=summary.quantizer,
                                   epsilon=params["epsilon"],
                                   security_bits=lam, n=None)
-        out.append(bounds.min_cells(query, "achievability", cap,
-                                    summary=summary))
-        out.append(bounds.min_cells(query, "converse", cap, summary=summary))
+        for direction in ("achievability", "converse"):
+            out.append(bounds.min_cells(query, direction, summary=summary))
     return tuple(out)
 
 
 def generate_table(spec: TableSpec, model: PufModel | None = None, *,
-                   nodes: int = 128, cap: int = CELL_CAP,
-                   compare: bool = False) -> dict:
+                   nodes: int = 128, compare: bool = False) -> dict:
     """Compute a full table; returns a plain dict ready for rendering.
 
     With compare=True each row carries the published values and per-cell
@@ -239,7 +247,7 @@ def generate_table(spec: TableSpec, model: PufModel | None = None, *,
             values = _rate_row(model, lv, params["p_d"], params["p_a"],
                                nodes)
         else:
-            values = _cells_row(model, lv, params, nodes, cap)
+            values = _cells_row(model, lv, params, nodes)
         row = {"levels": lv, "values": values}
         if compare:
             ref = PUBLISHED[spec.table_id].get(lv)
@@ -247,7 +255,8 @@ def generate_table(spec: TableSpec, model: PufModel | None = None, *,
             row["deviation"] = _deviations(values, ref)
         rows.append(row)
     return {"table_id": spec.table_id, "params": params,
-            "columns": list(spec.columns), "rows": rows, "cap": cap}
+            "columns": list(spec.columns), "rows": rows,
+            "cap": bounds.LOG2_CAP_DEFAULT}
 
 
 def _deviations(values, ref):
@@ -264,7 +273,7 @@ def _deviations(values, ref):
     return tuple(out)
 
 
-def format_cell(value, fmt: str, cap: int = CELL_CAP) -> str:
+def format_cell(value, fmt: str, cap: int = bounds.LOG2_CAP_DEFAULT) -> str:
     """One table cell or record value: None as ">cap", the cap the search
     actually used; an int as is; a float with 6 significant digits, or in
     markdown with 3 decimals (3 significant digits for values that would
@@ -286,7 +295,7 @@ def render(table: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(table, indent=2, sort_keys=True)
     md = fmt == "markdown"
-    cap = table.get("cap", CELL_CAP)
+    cap = table.get("cap", bounds.LOG2_CAP_DEFAULT)
     cols = table["columns"]
     header = ["levels", *cols]
     has_cmp = any("published" in r for r in table["rows"])

@@ -180,19 +180,11 @@ class TestFiniteRates:
                                                    security_bits=128)
             assert ach < conv
 
-    def test_delta_equals_security_bits(self, summaries):
-        s = summaries[4]
-        a = bounds.finite_rate_digital_ach(s, p_d=0.18, n=1000, epsilon=1e-6,
-                                           security_bits=20)
-        b = bounds.finite_rate_digital_ach(s, p_d=0.18, n=1000, epsilon=1e-6,
-                                           delta=2.0 ** -20)
-        assert a == pytest.approx(b, rel=1e-12)
-
     def test_eps_delta_budget_checked(self, summaries):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError):        # delta = 2^-1
             bounds.finite_rate_digital_ach(summaries[4], p_d=0.18, n=100,
-                                           epsilon=0.7, delta=0.5)
-        with pytest.raises(DomainError):        # neither delta nor lambda
+                                           epsilon=0.7, security_bits=1)
+        with pytest.raises(DomainError):        # no lambda
             bounds.finite_rate_digital_ach(summaries[4], p_d=0.18, n=100,
                                            epsilon=1e-6)
 
@@ -353,9 +345,6 @@ class TestMinCells:
         with pytest.raises(DomainError):
             bounds.BoundQuery(attacker=att, quantizer=q, epsilon=1e-6)
         with pytest.raises(DomainError):
-            bounds.BoundQuery(attacker=att, quantizer=q, epsilon=1e-6,
-                              security_bits=128, delta=0.5)
-        with pytest.raises(DomainError):
             bounds.BoundQuery(attacker=att, quantizer=q, epsilon=2.0,
                               security_bits=128)
 
@@ -363,8 +352,8 @@ class TestMinCells:
 @st.composite
 def _cell_queries(draw):
     """A summary at N = 2..64 with a query against it: either attacker,
-    epsilon up to 0.999 (a negative penalty), lambda or an explicit delta,
-    and p_d = 0 or a large analog alphabet (first-order term <= 0)."""
+    epsilon up to 0.999 (a negative penalty), lambda from 1 bit, and
+    p_d = 0 or a large analog alphabet (first-order term <= 0)."""
     levels = draw(st.integers(2, 64))
     model = PufModel(2241.0, draw(st.floats(30.0, 600.0)))
     if draw(st.booleans()):
@@ -377,13 +366,10 @@ def _cell_queries(draw):
     else:
         att = AttackerSpec("analog", p_d=p_d, p_a=draw(st.floats(p_d, 1.0)))
     eps = draw(st.one_of(st.floats(1e-12, 1e-3), st.floats(0.5, 0.999)))
-    if draw(st.booleans()):
-        # 2^-lambda < 1 - epsilon
-        low = max(1.0, -1.001 * math.log2(1.0 - eps))
-        bound = {"security_bits": draw(st.floats(low, 256.0))}
-    else:
-        bound = {"delta": (1.0 - eps) * draw(st.floats(1e-9, 0.999))}
-    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps, **bound)
+    # 2^-lambda < 1 - epsilon
+    low = max(1.0, -1.001 * math.log2(1.0 - eps))
+    query = bounds.BoundQuery(attacker=att, quantizer=q, epsilon=eps,
+                              security_bits=draw(st.floats(low, 256.0)))
     return query, bounds.summarize_channel(q, model, nodes=16)
 
 
@@ -399,8 +385,7 @@ class TestMinCellsSearch:
     def test_matches_linear_scan(self, drawn, direction, cap):
         query, s = drawn
         first, penalty = bounds._rate_terms(
-            query.attacker, direction, s, query.epsilon, query.delta,
-            query.security_bits)
+            query.attacker, direction, s, query.epsilon, query.security_bits)
         target = query.target_bits
         got = bounds.min_cells(query, direction, cap, summary=s)
         # a first-order term <= 0 is infeasible, even where a negative

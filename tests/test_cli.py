@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from pufsec import bounds
+from pufsec import bounds, channel, optimize, tables
 from pufsec.cli import main
 
 
@@ -220,6 +220,26 @@ def test_quadrature_nodes_reported(runner, args, nodes, warning):
     record = json.loads(res.output)
     assert record["quadrature_nodes"] == nodes
     assert record["quadrature_warning"] is warning
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_optimized_query_runs_one_quadrature_chain(runner, monkeypatch,
+                                                   name):
+    # the query's summary is the optimizer's own: the found quantizer goes
+    # through one error-controlled chain, whichever module binds it
+    real, chains = channel._quadrature, []
+
+    def spy(q, model, nodes):
+        chains.append(nodes)
+        return real(q, model, nodes)
+
+    for mod in (channel, bounds, optimize, tables):
+        if getattr(mod, "_quadrature", None) is real:
+            monkeypatch.setattr(mod, "_quadrature", spy)
+    res = run(runner, "--format", "json", *QUERIES[name], "--strategy",
+              "optimized", "--levels", "4")
+    assert res.exit_code in (0, 1)
+    assert chains == [128]
 
 
 class TestTable:

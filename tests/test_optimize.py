@@ -110,6 +110,20 @@ class TestOptimizer:
             bounds.summarize_channel(ana.quantizer), p_d=0.18, p_a=0.36)[0]
         assert _below_unquantized(dig) and _below_unquantized(ana)
 
+    def test_rate_is_the_public_rate_of_its_summary(self):
+        # the result carries the summary its rate is read from: the found
+        # quantizer's, at the result's own node cap
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60, nodes=64)
+        assert dig.summary.quantizer is dig.quantizer
+        assert dig.summary.nodes == 64 and dig.summary.model == MODEL
+        assert dig.rate == bounds.asymptotic_rate_digital(dig.summary,
+                                                          p_d=0.18)
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
+        assert ana.summary.quantizer is ana.quantizer
+        assert ana.summary.nodes == 128
+        assert ana.rate == bounds.asymptotic_rate_analog(
+            ana.summary, p_d=0.18, p_a=0.36)[0]
+
     def test_budget_accounting(self):
         res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64)
         assert res.evaluations >= 4          # at least the start ranking
@@ -151,10 +165,10 @@ class TestOptimizer:
 def test_search_runs_on_one_fixed_rule(monkeypatch, nodes, search):
     # every candidate, the two starts and the equidistant step search
     # included, is scored on the min(nodes, 32)-node rule: per_w_channels
-    # sees exactly its computed mirror half; only the reported rate goes
+    # sees exactly its computed mirror half; only the result's summary goes
     # through the error-controlled chain capped at `nodes`
     calls, phase = [], ["search"]
-    real_stack, real_quadrature = channel.per_w_channels, optimize._quadrature
+    real_stack, real_quadrature = channel.per_w_channels, bounds._quadrature
 
     def stack_spy(q, ws, model=None):
         calls.append((phase[0], np.asarray(ws)))
@@ -166,7 +180,7 @@ def test_search_runs_on_one_fixed_rule(monkeypatch, nodes, search):
         return real_quadrature(q, model, n)
 
     monkeypatch.setattr(channel, "per_w_channels", stack_spy)
-    monkeypatch.setattr(optimize, "_quadrature", quadrature_spy)
+    monkeypatch.setattr(bounds, "_quadrature", quadrature_spy)
     res = optimize_quantizer(MODEL, 8, DIGITAL, budget=60, nodes=nodes)
     searched = [ws for ph, ws in calls if ph == "search"]
     assert len(searched) >= res.evaluations

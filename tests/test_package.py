@@ -1,8 +1,9 @@
-"""Package-level invariants: the cell tables, the Monte-Carlo reports and
-the sample dump the CLI writes stay byte for byte the recorded ones, the
-package version is the released one, each command loads only the SciPy
-subpackages it uses, and every public name and every top-level function
-and class has a caller outside the tests.
+"""Package-level invariants: the cell tables, the optimized-quantizer
+queries, the Monte-Carlo reports and the sample dump the CLI writes stay
+byte for byte the recorded ones, the package version is the released one,
+each command loads only the SciPy subpackages it uses, and every public
+name and every top-level function and class has a caller outside the
+tests.
 
 A deliberate change to a file under tests/golden/ is logged in CHANGES.md
 with the reason the numbers moved.
@@ -32,6 +33,28 @@ def test_cell_table_matches_golden(table_id):
                              catch_exceptions=False)
     assert res.exit_code == 0
     assert res.stdout_bytes == (GOLDEN / f"table_{table_id}.csv").read_bytes()
+
+
+_OPTIMIZED = ["--strategy", "optimized", "--levels", "8", "--attacker",
+              "digital", "--pd", "0.18"]
+
+
+@pytest.mark.parametrize("golden,args", [
+    ("rate_optimized_8.json", ["--format", "json", "rate", *_OPTIMIZED]),
+    ("cells_optimized_8.json", ["--format", "json", "cells", *_OPTIMIZED,
+                                "--security", "128"]),
+    ("audit_optimized_8.json", ["--format", "json", "audit", "--cells",
+                                "459", *_OPTIMIZED, "--security", "128"]),
+    *((f"table_{tid}_small_compare.csv",
+       ["--format", "csv", "table", "--id", str(tid), "--compare",
+        "--override", "levels=2;4;8;16"]) for tid in (1, 2)),
+], ids=["rate", "cells", "audit", "table-1", "table-2"])
+def test_optimized_query_matches_golden(golden, args):
+    # the queries that search a quantizer: the optimizer's result, its
+    # channel summary, the rates and cell counts read from that summary
+    res = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (GOLDEN / golden).read_bytes()
 
 
 @pytest.mark.parametrize("golden,control", [

@@ -154,8 +154,9 @@ class TestHelperData:
     @pytest.mark.parametrize("shape", [(1,), (4095,), (4097,), (100_003,),
                                        (3, 5001)])
     def test_blocked_sibling_points_match_two_call_form(self, shape):
-        # at N = 16 a row block holds 4,096 rows: these are 1, 1, 2, 25 and
-        # 4 blocks, the last of a 2-D w
+        # sibling_points evaluates every row in one call, whatever the
+        # input's length or shape: sizes about a 4,096-row block, a large
+        # input and a 2-D w
         rng = np.random.default_rng(shape[-1])
         ws = rng.uniform(0.0, 1.0, shape)
         ws.flat[0] = 0.0

@@ -366,8 +366,9 @@ class TestWindowedMAP:
 
 
 def test_dump_csv_walks_the_chunks(tmp_path, monkeypatch):
-    # the dump walks the same chunks as the simulation, so its memory is
-    # bounded by the chunk size and its rows do not depend on it
+    # the dump draws its rows chunk by chunk, as the simulation does, so
+    # its rows do not depend on the chunk size; sim.decisions allocates all
+    # the rows at once
     sizes = []
     chunk = sim_mod._simulate_chunk
 

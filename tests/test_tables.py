@@ -10,7 +10,7 @@ from pufsec.optimize import optimize_quantizer
 from pufsec.tables import (CAPTIONS, CELL_COLUMNS, CELL_LEVELS, PUBLISHED,
                            RATE_COLUMNS, RATE_LEVELS, TableSpec,
                            equidistant_reference, generate_table,
-                           make_quantizer, render)
+                           make_quantizer, render, summarize_strategy)
 from oracles import unquantized_rate
 
 MODEL = PufModel()
@@ -78,18 +78,38 @@ class TestMakeQuantizer:
             with pytest.raises(DomainError):
                 make_quantizer(MODEL, levels, "equidistant", step=step)
 
-    def test_optimized_is_the_optimizers_quantizer(self):
+    def test_unknown_strategy(self):
+        with pytest.raises(DomainError, match="strategy"):
+            make_quantizer(MODEL, 4, "uniform")
+        # the search is summarize_strategy's, not a constructor
+        with pytest.raises(DomainError, match="strategy"):
+            make_quantizer(MODEL, 4, "optimized")
+
+
+class TestSummarizeStrategy:
+    def test_optimized_is_the_optimizers_summary(self):
         dig = AttackerSpec("digital", p_d=0.18)
-        q = make_quantizer(MODEL, 4, "optimized", dig, nodes=64)
+        s = summarize_strategy(MODEL, 4, "optimized", dig, nodes=64)
         res = optimize_quantizer(MODEL, 4, dig, nodes=64)
-        assert q.kind == "optimized"
-        assert np.array_equal(q.inner_borders, res.quantizer.inner_borders)
+        assert s.quantizer.kind == "optimized" and s.nodes == 64
+        assert np.array_equal(s.quantizer.inner_borders,
+                              res.quantizer.inner_borders)
+        assert bounds.asymptotic_rate_digital(s, p_d=0.18) == res.rate
+
+    def test_constructed_strategies_are_summarized_at_nodes(self):
+        s = summarize_strategy(MODEL, 8, "equidistant", nodes=64,
+                               step=1000.0)
+        assert s.quantizer.step == 1000.0 and s.nodes == 64
+        ref = bounds.summarize_channel(
+            make_quantizer(MODEL, 8, "equiprobable"), MODEL, nodes=64)
+        s = summarize_strategy(MODEL, 8, "equiprobable", nodes=64)
+        assert np.array_equal(s.joint, ref.joint) and s.i_cond == ref.i_cond
 
     def test_unknown_strategy_and_missing_attacker(self):
         with pytest.raises(DomainError, match="strategy"):
-            make_quantizer(MODEL, 4, "uniform")
+            summarize_strategy(MODEL, 4, "uniform")
         with pytest.raises(DomainError, match="attacker"):
-            make_quantizer(MODEL, 4, "optimized")
+            summarize_strategy(MODEL, 4, "optimized")
 
 
 class TestGeneration:
