@@ -25,7 +25,8 @@ from .stats import DomainError, PufModel, q_inverse
 from .quantizer import InputQuantizer
 # per_w_channels stays bound here although _quadrature makes the call:
 # the perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _quadrature, per_w_channels  # noqa: F401
+from .channel import AttackerSpec, _NODE_CAP, _quadrature
+from .channel import per_w_channels  # noqa: F401
 from .info import _log_ratios, _validate_pmf, entropy
 
 # The largest cell count min_cells searches by default; the published
@@ -73,7 +74,7 @@ class ChannelSummary:
 
 
 def summarize_channel(q: InputQuantizer, model: PufModel | None = None,
-                      nodes: int = 128) -> ChannelSummary:
+                      nodes: int = _NODE_CAP) -> ChannelSummary:
     """Summary of q under `model` on the error-controlled quadrature chain
     ending at `nodes`.  Every information moment is a sum over the averaged
     joint of the density L = log2 P(s~|s) / P(s~) from `info._log_ratios`:
@@ -133,7 +134,7 @@ def _asymptotic_rate(att: AttackerSpec, i_cond: float, h_s: float) -> float:
     return max(_first_order(att, "achievability", i_cond, h_s), 0.0)
 
 
-def asymptotic_rate_digital(s: ChannelSummary, p_d: float = 0.1) -> float:
+def asymptotic_rate_digital(s: ChannelSummary, p_d: float) -> float:
     """Secret-key capacity against the digital attacker:
     I(S; S~ | W) * p_d bits per cell."""
     att = AttackerSpec("digital", p_d=p_d)
@@ -141,8 +142,7 @@ def asymptotic_rate_digital(s: ChannelSummary, p_d: float = 0.1) -> float:
     return _asymptotic_rate(att, s.i_cond, s.h_s)
 
 
-def asymptotic_rate_analog(s: ChannelSummary, p_d: float = 0.1,
-                           p_a: float = 0.2):
+def asymptotic_rate_analog(s: ChannelSummary, p_d: float, p_a: float):
     """(lower, upper) bounds on the key capacity against the analog
     attacker; the lower bound is clamped at zero."""
     att = AttackerSpec("analog", p_d=p_d, p_a=p_a)
@@ -264,31 +264,31 @@ def _finite_rate(att, direction, s, n, epsilon, security_bits):
                     n)
 
 
-def finite_rate_digital_ach(s: ChannelSummary, p_d=0.1, n=1000, epsilon=1e-6,
-                            *, security_bits=None) -> float:
+def finite_rate_digital_ach(s: ChannelSummary, p_d, n, epsilon, *,
+                            security_bits) -> float:
     """Normal-approximation achievable key rate against the digital
     attacker (may be negative; callers clamp)."""
     return _finite_rate(AttackerSpec("digital", p_d=p_d), "achievability",
                         s, n, epsilon, security_bits)
 
 
-def finite_rate_digital_conv(s: ChannelSummary, p_d=0.1, n=1000,
-                             epsilon=1e-6, *, security_bits=None) -> float:
+def finite_rate_digital_conv(s: ChannelSummary, p_d, n, epsilon, *,
+                             security_bits) -> float:
     """Exact second-order converse rate against the digital attacker."""
     return _finite_rate(AttackerSpec("digital", p_d=p_d), "converse",
                         s, n, epsilon, security_bits)
 
 
-def finite_rate_analog_ach(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
-                           epsilon=1e-6, *, security_bits=None) -> float:
+def finite_rate_analog_ach(s: ChannelSummary, p_d, p_a, n, epsilon, *,
+                           security_bits) -> float:
     """Normal-approximation achievable key rate against the analog
     attacker (may be negative; callers clamp)."""
     return _finite_rate(AttackerSpec("analog", p_d=p_d, p_a=p_a),
                         "achievability", s, n, epsilon, security_bits)
 
 
-def finite_rate_analog_conv(s: ChannelSummary, p_d=0.1, p_a=0.2, n=1000,
-                            epsilon=1e-6, *, security_bits=None) -> float:
+def finite_rate_analog_conv(s: ChannelSummary, p_d, p_a, n, epsilon, *,
+                            security_bits) -> float:
     """Second-order converse rate against the analog attacker, with the
     default (reference) dispersion variant.  The value does not depend on
     p_a; the argument is kept for interface symmetry."""
@@ -308,7 +308,7 @@ class BoundQuery:
     attacker: AttackerSpec
     quantizer: InputQuantizer
     epsilon: float
-    security_bits: float | None = None
+    security_bits: float
     n: int | None = None
 
     def __post_init__(self):
@@ -316,17 +316,12 @@ class BoundQuery:
         if self.n is not None:
             _check_n(self.n)
 
-    @property
-    def target_bits(self) -> float:
-        """Secret size the searched code must carry: lambda."""
-        return float(self.security_bits)
-
 
 def min_cells(query: BoundQuery, direction: str,
               cap: int = LOG2_CAP_DEFAULT, *,
               summary: ChannelSummary) -> int | None:
-    """Smallest cell count n <= cap with n * rate(n) >= the target secret
-    size in bits, or None (infeasible) when there is none or first <= 0.
+    """Smallest cell count n <= cap with n * rate(n) >= `security_bits`
+    (lambda), or None (infeasible) when there is none or first <= 0.
 
     rate(n) = first - penalty / sqrt(n) is the query's achievability or
     converse bound on `summary`, which must summarize the query's
@@ -351,7 +346,7 @@ def min_cells(query: BoundQuery, direction: str,
                                  query.epsilon, query.security_bits)
     if not first > 0.0:
         return None
-    target = query.target_bits
+    target = float(query.security_bits)
 
     def meets(n):
         return n * max(_rate_at(first, penalty, n), 0.0) >= target

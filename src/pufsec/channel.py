@@ -184,6 +184,8 @@ _MI_TOL = 1e-12
 # certifies for most quantizers (DECISIONS.md, "Error-controlled node
 # count").
 _SEARCH_NODES = 32
+# The default cap of the chain: of every summary, table and `--nodes`.
+_NODE_CAP = 128
 
 
 def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
@@ -221,7 +223,7 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
 
 
 def averaged_channel(q: InputQuantizer, model: PufModel | None = None,
-                     nodes: int = 128) -> ChannelMatrix:
+                     nodes: int = _NODE_CAP) -> ChannelMatrix:
     """W-averaged channel P(S~|S) on the full label set, by Gauss-Legendre
     quadrature over the uniform helper value on at most `nodes` nodes."""
     return _quadrature(q, model or q.model, nodes)[0]

@@ -10,7 +10,7 @@ import sys
 import click
 
 from .stats import DomainError, PufModel
-from .channel import AttackerSpec
+from .channel import AttackerSpec, _NODE_CAP
 from . import bounds, optimize as opt_mod, sim, tables
 
 STRATEGIES = ("equiprobable", "equidistant", "optimized")
@@ -29,6 +29,12 @@ def _emit(ctx, text: str):
         with open(out, "w") as fh:
             fh.write(text)
     click.echo(text, nl=False)
+
+
+def _emit_json(ctx, payload: dict):
+    """JSON whatever --format is, indented under markdown."""
+    _emit(ctx, json.dumps(payload, sort_keys=True,
+                          indent=2 if ctx.obj["fmt"] == "markdown" else None))
 
 
 def _model(ctx) -> PufModel:
@@ -96,11 +102,11 @@ class _Group(_Command, click.Group):
 
 
 @click.group(cls=_Group)
-@click.option("--sigma-p", default=2241.0, show_default=True,
+@click.option("--sigma-p", default=PufModel.sigma_p, show_default=True,
               help="PUF response standard deviation.")
-@click.option("--sigma-n", default=129.0, show_default=True,
+@click.option("--sigma-n", default=PufModel.sigma_n, show_default=True,
               help="Reconstruction noise standard deviation.")
-@click.option("--nodes", default=128, show_default=True,
+@click.option("--nodes", default=_NODE_CAP, show_default=True,
               help="Cap on the Gauss-Legendre nodes for helper-data "
               "averaging: rules double from 16 nodes up to this count and "
               "the first that agrees with its half rule is used; the "
@@ -133,7 +139,8 @@ def main(ctx, sigma_p, sigma_n, nodes, fmt, out, seed):
 @click.option("--strategy", type=click.Choice(STRATEGIES),
               default="equiprobable", show_default=True)
 @click.option("--step", type=float, default=None,
-              help="Equidistant step (default: 20000 / levels).")
+              help=f"Equidistant step (default: {tables.FIXED_RANGE:g} "
+              "/ levels).")
 @click.pass_context
 def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     """Asymptotic secret-key rate in bits per PUF cell."""
@@ -268,27 +275,23 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
               default="equiprobable", show_default=True)
 @click.option("--step", type=float, default=None)
 @click.option("--samples", type=int, default=1_000_000, show_default=True)
-@click.option("--seed", "seed", type=int, default=None,
-              help="Overrides the global --seed for this run.")
 @click.option("--negative-control", "negative",
               type=click.Choice(["center-distance"]), default=None,
               help="Run the leakage test with the broken helper scheme.")
 @click.option("--dump-csv", type=click.Path(dir_okay=False), default=None,
               help="Write (S, W, S~) sample triples (capped at 1e6 rows).")
 @click.pass_context
-def simulate(ctx, levels, strategy, step, samples, seed, negative, dump_csv):
+def simulate(ctx, levels, strategy, step, samples, negative, dump_csv):
     """Monte-Carlo run of the enrollment/reconstruction pipeline."""
     q = tables.make_quantizer(_model(ctx), levels, strategy, step=step)
-    use_seed = ctx.obj["seed"] if seed is None else seed
-    cfg = sim.SimConfig(_model(ctx), q, samples=samples, seed=use_seed)
+    cfg = sim.SimConfig(_model(ctx), q, samples=samples, seed=ctx.obj["seed"])
     payload = json.loads(sim.run_simulation(cfg).to_json())
     helper = negative or "zero-leakage"
     payload["leakage_test"] = {
         "helper": helper, "per_level": sim.leakage_test(cfg, helper=helper)}
     if dump_csv:
         _dump_samples(cfg, dump_csv)
-    _emit(ctx, json.dumps(payload, sort_keys=True,
-                          indent=2 if ctx.obj["fmt"] == "markdown" else None))
+    _emit_json(ctx, payload)
 
 
 def _dump_samples(cfg, path, cap=1_000_000):
@@ -309,7 +312,8 @@ def _dump_samples(cfg, path, cap=1_000_000):
 @click.option("--pd", "p_d", type=float, required=True)
 @click.option("--pa", "p_a", type=float, default=None)
 @click.option("--levels", type=int, default=4, show_default=True)
-@click.option("--budget", type=int, default=2000, show_default=True)
+@click.option("--budget", type=int, default=None,
+              help="Objective evaluations [default: as --strategy optimized].")
 @click.pass_context
 def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
     """Search for the rate-maximizing input quantizer."""
@@ -323,8 +327,7 @@ def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
               "quantizer": res.quantizer.to_dict()}
     if attacker == "analog":
         record["p_a"] = p_a
-    _emit(ctx, json.dumps(record, sort_keys=True,
-                          indent=2 if ctx.obj["fmt"] == "markdown" else None))
+    _emit_json(ctx, record)
 
 
 if __name__ == "__main__":

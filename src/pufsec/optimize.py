@@ -24,16 +24,16 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _rule makes the call: the
 # perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _SEARCH_NODES, _rule
+from .channel import AttackerSpec, _NODE_CAP, _SEARCH_NODES, _rule
 from .channel import per_w_channels  # noqa: F401
 from .info import entropy
 from .bounds import ChannelSummary, _asymptotic_rate, summarize_channel
 
 KNOT_MARGIN = 1e-6
 _STEP_SUBINTERVALS = 3
-# Default evaluation budget per alphabet size.  Small alphabets converge
-# well inside it; from 64 levels on the budget binds.  Another N takes the
-# budget of the smallest listed N above it, and 150 above 256.
+# The one default evaluation budget, per alphabet size.  Small alphabets
+# converge well inside it; from 64 levels on the budget binds.  Another N
+# takes the budget of the smallest listed N above it, and 150 above 256.
 _BUDGETS = {2: 100, 4: 400, 8: 900, 16: 1800, 32: 2400,
             64: 900, 128: 300, 256: 150}
 
@@ -76,15 +76,16 @@ def repair_knots(u: np.ndarray) -> np.ndarray:
 
 
 def best_equidistant_step(model: PufModel, levels: int,
-                          objective: AttackerSpec, *, nodes: int = 64):
+                          objective: AttackerSpec, *,
+                          nodes: int = _SEARCH_NODES):
     """(step, rate) maximizing the asymptotic rate over the step size.
 
     Bounded scalar search on log-step over [sigma_P/50, 10*sigma_P],
     restarted on _STEP_SUBINTERVALS subintervals because the objective need
     not be unimodal; steps whose tail intervals underflow score -inf.
-    `nodes` is the fixed Gauss-Legendre rule every step is scored on, and
-    the returned rate is read on that same rule: it is not a cap of the
-    error-controlled quadrature, unlike `nodes` of the public rates.
+    `nodes` is the fixed Gauss-Legendre rule every step is scored on, by
+    default the optimizer's, and the returned rate is read on that rule:
+    not a cap of the error-controlled quadrature, unlike the public rates'.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -137,7 +138,7 @@ def _symmetric_quantizer(model: PufModel, h: np.ndarray,
 
 def optimize_quantizer(model: PufModel, levels: int,
                        objective: AttackerSpec, budget: int | None = None,
-                       *, nodes: int = 128):
+                       *, nodes: int = _NODE_CAP):
     """Best mirror-symmetric input quantizer found within the budget, by
     default the per-alphabet `_BUDGETS`.
 
@@ -149,9 +150,8 @@ def optimize_quantizer(model: PufModel, levels: int,
     start's, and it makes at most max(budget, 2) objective evaluations.
     Every candidate, the starts included, is scored on the one
     min(`nodes`, 32)-point rule (`channel._SEARCH_NODES`); the result
-    carries the found quantizer's `summarize_channel` summary at `nodes`
-    (128 by default, as in `asymptotic_rate_*`), and its rate is the
-    public one on that summary.
+    carries the found quantizer's `summarize_channel` summary at `nodes`,
+    and its rate is the public one on that summary.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")

@@ -15,7 +15,7 @@ import json
 
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant, make_equiprobable
-from .channel import AttackerSpec
+from .channel import AttackerSpec, _NODE_CAP
 from . import bounds, optimize
 
 FIXED_RANGE = 20000.0          # full-scale measurement range of the reference
@@ -178,7 +178,7 @@ def make_quantizer(model: PufModel, levels: int, strategy: str, *,
 
 def summarize_strategy(model: PufModel, levels: int, strategy: str,
                        attacker: AttackerSpec | None = None, *,
-                       nodes: int = 128,
+                       nodes: int = _NODE_CAP,
                        step: float | None = None) -> bounds.ChannelSummary:
     """Channel summary of the `strategy` quantizer on at most `nodes`
     nodes: make_quantizer's, or for "optimized" the summary the optimizer
@@ -228,7 +228,7 @@ def _cells_row(model, levels, params, nodes):
 
 
 def generate_table(spec: TableSpec, model: PufModel | None = None, *,
-                   nodes: int = 128, compare: bool = False) -> dict:
+                   nodes: int = _NODE_CAP, compare: bool = False) -> dict:
     """Compute a full table; returns a plain dict ready for rendering.
 
     With compare=True each row carries the published values and per-cell
@@ -273,7 +273,7 @@ def _deviations(values, ref):
     return tuple(out)
 
 
-def format_cell(value, fmt: str, cap: int = bounds.LOG2_CAP_DEFAULT) -> str:
+def format_cell(value, fmt: str, cap: int) -> str:
     """One table cell or record value: None as ">cap", the cap the search
     actually used; an int as is; a float with 6 significant digits, or in
     markdown with 3 decimals (3 significant digits for values that would
@@ -295,7 +295,6 @@ def render(table: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(table, indent=2, sort_keys=True)
     md = fmt == "markdown"
-    cap = table.get("cap", bounds.LOG2_CAP_DEFAULT)
     cols = table["columns"]
     header = ["levels", *cols]
     has_cmp = any("published" in r for r in table["rows"])
@@ -305,10 +304,10 @@ def render(table: dict, fmt: str) -> str:
     rows = []
     for r in table["rows"]:
         cells = [str(r["levels"])]
-        cells += [format_cell(v, fmt, cap) for v in r["values"]]
+        cells += [format_cell(v, fmt, table["cap"]) for v in r["values"]]
         if has_cmp:
             ref = r.get("published") or (None,) * len(cols)
-            cells += [format_cell(v, fmt, cap) for v in ref]
+            cells += [format_cell(v, fmt, table["cap"]) for v in ref]
             dev = r.get("deviation") or (None,) * len(cols)
             if md:
                 cells += ["-" if d is None else f"{d:+.3%}" for d in dev]

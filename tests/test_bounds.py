@@ -184,7 +184,7 @@ class TestFiniteRates:
         with pytest.raises(DomainError):        # delta = 2^-1
             bounds.finite_rate_digital_ach(summaries[4], p_d=0.18, n=100,
                                            epsilon=0.7, security_bits=1)
-        with pytest.raises(DomainError):        # no lambda
+        with pytest.raises(TypeError):          # no lambda
             bounds.finite_rate_digital_ach(summaries[4], p_d=0.18, n=100,
                                            epsilon=1e-6)
 
@@ -342,7 +342,7 @@ class TestMinCells:
     def test_query_validation(self):
         q = make_equiprobable(MODEL, 4)
         att = AttackerSpec("digital", p_d=0.18)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):          # no lambda
             bounds.BoundQuery(attacker=att, quantizer=q, epsilon=1e-6)
         with pytest.raises(DomainError):
             bounds.BoundQuery(attacker=att, quantizer=q, epsilon=2.0,
@@ -386,7 +386,7 @@ class TestMinCellsSearch:
         query, s = drawn
         first, penalty = bounds._rate_terms(
             query.attacker, direction, s, query.epsilon, query.security_bits)
-        target = query.target_bits
+        target = query.security_bits
         got = bounds.min_cells(query, direction, cap, summary=s)
         # a first-order term <= 0 is infeasible, even where a negative
         # penalty lets n * rate(n) reach a small target at small n

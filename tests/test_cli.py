@@ -1,10 +1,13 @@
+import inspect
 import json
 
+import click
 import pytest
 from click.testing import CliRunner
 
 from pufsec import bounds, channel, optimize, tables
 from pufsec.cli import main
+from pufsec.stats import PufModel
 
 
 @pytest.fixture
@@ -100,8 +103,6 @@ DOMAIN_ERRORS = {
                         "--security", "128", *EQUIDISTANT, "--step", "0"],
     "simulate-step-zero": ["simulate", "--samples", "1000", *EQUIDISTANT,
                            "--step", "0"],
-    "simulate-seed": ["simulate", "--levels", "8", "--samples", "1000",
-                      "--seed", "-1"],
     "global-seed": ["--seed", "-1", "simulate", "--levels", "8",
                     "--samples", "1000"],
     # levels < 2 is the quantizer constructors' DomainError
@@ -386,6 +387,53 @@ class TestOptimizeCommand:
         data = json.loads(res.output)
         assert data["rate"] == pytest.approx(0.36, abs=0.005)
         assert data["quantizer"]["levels"] == 4
+
+    def test_default_budget_is_the_library_default(self, runner,
+                                                   monkeypatch):
+        budgets, real = [], optimize.optimize_quantizer
+
+        def spy(*args, budget, **kw):
+            budgets.append(budget)
+            return real(*args, budget=budget, **kw)
+
+        monkeypatch.setattr(optimize, "optimize_quantizer", spy)
+        res = run(runner, "optimize", "--attacker", "digital", "--pd",
+                  "0.18", "--levels", "2")
+        assert res.exit_code == 0
+        assert budgets == [None]
+
+    def test_same_answer_as_optimized_strategy(self, runner):
+        # one search at one effort: the command's quantizer and rate are
+        # the optimized strategy's, to the bit
+        data = json.loads(run(runner, "--format", "json", "optimize",
+                              "--levels", "4", "--attacker", "digital",
+                              "--pd", "0.18").output)
+        att = channel.AttackerSpec("digital", p_d=0.18)
+        s = tables.summarize_strategy(PufModel(), 4, "optimized", att)
+        assert data["rate"] == bounds.asymptotic_rate_digital(s, p_d=0.18)
+        assert (data["quantizer"]["borders"]
+                == s.quantizer.inner_borders.tolist())
+
+
+def test_cli_defaults_are_the_library_defaults():
+    # a default the library also defines is read from it, not restated
+    def option(command, name):
+        param = next(p for p in command.params if p.name == name)
+        return param.get_default(click.Context(command))
+
+    def _default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    model = PufModel()
+    assert option(main, "sigma_p") == model.sigma_p
+    assert option(main, "sigma_n") == model.sigma_n
+    for fn in (bounds.summarize_channel, tables.summarize_strategy,
+               tables.generate_table, optimize.optimize_quantizer):
+        assert option(main, "nodes") == _default(fn, "nodes")
+    assert (option(main.commands["cells"], "cap")
+            == _default(bounds.min_cells, "cap"))
+    assert option(main.commands["optimize"], "budget") is None
+    assert _default(optimize.optimize_quantizer, "budget") is None
 
 
 class TestOutputFile:

@@ -60,6 +60,19 @@ class TestEquidistantStep:
         with pytest.raises(DomainError):
             best_equidistant_step(MODEL, 1, DIGITAL)
 
+    def test_optimizer_starts_from_the_default_step(self, monkeypatch):
+        # the equidistant start the optimizer scores is the step this
+        # function returns at its defaults
+        steps, real = [], optimize.best_equidistant_step
+
+        def spy(*args, **kw):
+            steps.append(real(*args, **kw)[0])
+            return steps[-1], None
+
+        monkeypatch.setattr(optimize, "best_equidistant_step", spy)
+        optimize_quantizer(MODEL, 8, DIGITAL, budget=1)
+        assert steps == [best_equidistant_step(MODEL, 8, DIGITAL)[0]]
+
 
 def _summary(q, nodes=128):
     return bounds.summarize_channel(q, MODEL, nodes=nodes)
