@@ -6,10 +6,10 @@ from .quantizer import (InputQuantizer, make_equidistant, make_equiprobable,
                         sibling_points)
 from .channel import AttackerSpec, ChannelMatrix, averaged_channel
 from .info import entropy, mutual_information
-from .bounds import (BoundQuery, ChannelSummary, asymptotic_rate_analog,
-                     asymptotic_rate_digital, finite_rate_analog_ach,
-                     finite_rate_analog_conv, finite_rate_digital_ach,
-                     finite_rate_digital_conv, min_cells, summarize_channel)
+from .bounds import (BoundQuery, ChannelSummary, asymptotic_rate,
+                     finite_rate_analog_ach, finite_rate_analog_conv,
+                     finite_rate_digital_ach, finite_rate_digital_conv,
+                     min_cells, summarize_channel)
 from .optimize import OptimizeResult, best_equidistant_step, optimize_quantizer
 from .sim import SimConfig, SimReport, leakage_test, run_simulation
 from .tables import TableSpec, generate_table
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AttackerSpec", "BoundQuery", "ChannelMatrix", "ChannelSummary",
     "DomainError", "InputQuantizer", "OptimizeResult", "PufModel",
-    "SimConfig", "SimReport", "TableSpec", "asymptotic_rate_analog",
-    "asymptotic_rate_digital", "averaged_channel", "best_equidistant_step",
+    "SimConfig", "SimReport", "TableSpec", "asymptotic_rate",
+    "averaged_channel", "best_equidistant_step",
     "entropy", "finite_rate_analog_ach", "finite_rate_analog_conv",
     "finite_rate_digital_ach", "finite_rate_digital_conv", "generate_table",
     "leakage_test", "make_equidistant", "make_equiprobable", "min_cells",

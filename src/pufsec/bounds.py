@@ -134,18 +134,11 @@ def _asymptotic_rate(att: AttackerSpec, i_cond: float, h_s: float) -> float:
     return max(_first_order(att, "achievability", i_cond, h_s), 0.0)
 
 
-def asymptotic_rate_digital(s: ChannelSummary, p_d: float) -> float:
-    """Secret-key capacity against the digital attacker:
-    I(S; S~ | W) * p_d bits per cell."""
-    att = AttackerSpec("digital", p_d=p_d)
-    _check_summary(s)
-    return _asymptotic_rate(att, s.i_cond, s.h_s)
-
-
-def asymptotic_rate_analog(s: ChannelSummary, p_d: float, p_a: float):
-    """(lower, upper) bounds on the key capacity against the analog
-    attacker; the lower bound is clamped at zero."""
-    att = AttackerSpec("analog", p_d=p_d, p_a=p_a)
+def asymptotic_rate(s: ChannelSummary, att: AttackerSpec):
+    """(lower, upper) bounds on the secret-key capacity against `att`, in
+    bits per cell.  Against the digital attacker both are the capacity
+    I(S; S~ | W) * p_d; against the analog one the lower bound is clamped
+    at zero."""
     _check_summary(s)
     return (_asymptotic_rate(att, s.i_cond, s.h_s),
             _first_order(att, "converse", s.i_cond, s.h_s))
@@ -160,50 +153,42 @@ def dispersion_v1(s: ChannelSummary) -> float:
     return max(s.a2 - s.a1 ** 2, 0.0)
 
 
-def dispersion_v2_digital(s: ChannelSummary, p_d: float) -> float:
-    """Eavesdropper dispersion, digital attacker: erasure mixture of the
-    noisy density (weight 1-p_d) and the source-only density (weight p_d)."""
-    AttackerSpec("digital", p_d=p_d)
-    mean = (1.0 - p_d) * s.a1 + p_d * s.b1
-    return max((1.0 - p_d) * s.a2 + p_d * s.b2 - mean ** 2, 0.0)
-
-
-def dispersion_vc_prime_digital(s: ChannelSummary, p_d: float) -> float:
-    """Exact converse dispersion for the digital attacker."""
-    AttackerSpec("digital", p_d=p_d)
-    return max(p_d * s.c2 - p_d ** 2 * s.d2_per_s, 0.0)
-
-
-def dispersion_v2_analog(s: ChannelSummary, p_d: float, p_a: float) -> float:
-    """Eavesdropper dispersion, analog attacker: three-way mixture of the
-    (E,E), (s~,E) and (s~,s) outcomes."""
-    AttackerSpec("analog", p_d=p_d, p_a=p_a)
+def dispersion_v2(s: ChannelSummary, att: AttackerSpec) -> float:
+    """Eavesdropper dispersion.  Digital attacker: erasure mixture of the
+    noisy density (weight 1-p_d) and the source-only density (weight p_d).
+    Analog attacker: three-way mixture of the (E,E), (s~,E) and (s~,s)
+    outcomes."""
+    p_d = att.p_d
+    if att.kind == "digital":
+        mean = (1.0 - p_d) * s.a1 + p_d * s.b1
+        return max((1.0 - p_d) * s.a2 + p_d * s.b2 - mean ** 2, 0.0)
+    p_a = att.p_a
     log_n = s.log_alphabet
     mean = log_n + s.i_avg * (p_a - p_d) - p_a * s.h_s
     second = (p_d * s.b2 + (p_a - p_d) * s.a2 + (1.0 - p_a) * log_n ** 2)
     return max(second - mean ** 2, 0.0)
 
 
-def dispersion_vc_analog(s: ChannelSummary, p_d: float,
-                         variant: str = "reference") -> float:
-    """Converse dispersion for the analog attacker; independent of p_a.
+def dispersion_vc(s: ChannelSummary, att: AttackerSpec,
+                  variant: str = "reference") -> float:
+    """Converse dispersion.  The digital attacker has one form, the exact
+    V_c', whatever `variant` says; the analog one is independent of p_a.
 
-    variant="theorem" evaluates p_d * sum P_SS~ log2^2(P_{S~|S}/P_S~)
-    - p_d^2 I(S;S~)^2, the closed form the analysis states.  That form
-    does not reproduce the published analog-converse cell counts; those
-    follow the same expression with the second moment scaled by 1/|S|
-    (variant="reference", the default used by the table pipeline).  The
-    reference variant matches every published analog converse cell to
-    within 0.5%.
+    The analog variant="theorem" evaluates
+    p_d * sum P_SS~ log2^2(P_{S~|S}/P_S~) - p_d^2 I(S;S~)^2, the closed
+    form the analysis states.  That form does not reproduce the published
+    analog-converse cell counts; those follow the same expression with the
+    second moment scaled by 1/|S| (variant="reference", the default used
+    by the table pipeline).  The reference variant matches every published
+    analog converse cell to within 0.5%.
     """
-    AttackerSpec("digital", p_d=p_d)          # p_d in [0, 1]; p_a plays no part
-    if variant == "theorem":
-        second = s.c2
-    elif variant == "reference":
-        second = s.c2 / s.levels
-    else:
+    if variant not in ("theorem", "reference"):
         raise DomainError(
             f"variant must be 'theorem' or 'reference', got {variant!r}")
+    p_d = att.p_d
+    if att.kind == "digital":
+        return max(p_d * s.c2 - p_d ** 2 * s.d2_per_s, 0.0)
+    second = s.c2 if variant == "theorem" else s.c2 / s.levels
     return max(p_d * second - p_d ** 2 * s.i_avg ** 2, 0.0)
 
 
@@ -236,18 +221,11 @@ def _rate_terms(att: AttackerSpec, direction: str, s: ChannelSummary,
     checked."""
     first = _first_order(att, direction, s.i_cond, s.h_s, s.i_avg)
     if direction == "achievability":
-        if att.kind == "digital":
-            v2 = dispersion_v2_digital(s, att.p_d)
-        else:
-            v2 = dispersion_v2_analog(s, att.p_d, att.p_a)
         penalty = (math.sqrt(dispersion_v1(s)) * q_inverse(epsilon)
-                   + math.sqrt(v2) * q_inverse(log2_p=-float(security_bits)))
+                   + math.sqrt(dispersion_v2(s, att))
+                   * q_inverse(log2_p=-float(security_bits)))
     else:
-        if att.kind == "digital":
-            vc = dispersion_vc_prime_digital(s, att.p_d)
-        else:
-            vc = dispersion_vc_analog(s, att.p_d)
-        penalty = math.sqrt(vc) * q_inverse(
+        penalty = math.sqrt(dispersion_vc(s, att)) * q_inverse(
             epsilon + 2.0 ** -float(security_bits))
     return first, penalty
 

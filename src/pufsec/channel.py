@@ -68,6 +68,8 @@ class AttackerSpec:
             if self.p_a is None or not self.p_d <= self.p_a <= 1.0:
                 raise DomainError(
                     f"analog attacker needs p_d <= p_a <= 1, got p_a={self.p_a}")
+        elif self.p_a is not None:
+            raise DomainError("p_a does not apply to the digital attacker")
 
 
 def _mirror_half(q: InputQuantizer, ws: np.ndarray) -> int:

@@ -42,11 +42,9 @@ def _model(ctx) -> PufModel:
 
 
 def _attacker(kind, p_d, p_a):
-    if kind == "digital":
-        return AttackerSpec("digital", p_d=p_d)
-    if p_a is None:
+    if kind == "analog" and p_a is None:
         _fail("--pa is required for the analog attacker")
-    return AttackerSpec("analog", p_d=p_d, p_a=p_a)
+    return AttackerSpec(kind, p_d=p_d, p_a=p_a)
 
 
 def _quadrature_fields(summary) -> dict:
@@ -149,10 +147,10 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
                                   nodes=ctx.obj["nodes"], step=step)
     record = {"attacker": attacker, "levels": levels,
               "strategy": strategy, "p_d": p_d}
+    lo, hi = bounds.asymptotic_rate(s, att)
     if attacker == "digital":
-        record["rate"] = bounds.asymptotic_rate_digital(s, p_d=p_d)
+        record["rate"] = lo
     else:
-        lo, hi = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
         record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
     record.update(_quadrature_fields(s))
     _emit(ctx, _render_record(ctx, record))
@@ -177,8 +175,7 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
 def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
           cap):
     """Minimum PUF cell counts: achievability and converse."""
-    if security < 1:
-        _fail("--security must be >= 1 bit")
+    bounds._check_eps_lambda(eps, security)
     att = _attacker(attacker, p_d, p_a)
     summary = tables.summarize_strategy(_model(ctx), levels, strategy, att,
                                         nodes=ctx.obj["nodes"], step=step)
@@ -246,10 +243,8 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
 
     Exit code 0 when the cell count can support the claim, 1 when the
     converse proves it cannot."""
-    if n < 1:
-        _fail("--cells must be >= 1")
-    if security < 1:
-        _fail("--security must be >= 1 bit")
+    bounds._check_n(n)
+    bounds._check_eps_lambda(eps, security)
     att = _attacker(attacker, p_d, p_a)
     summary = tables.summarize_strategy(_model(ctx), levels, strategy, att,
                                         nodes=ctx.obj["nodes"])

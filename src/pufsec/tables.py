@@ -167,6 +167,9 @@ def make_quantizer(model: PufModel, levels: int, strategy: str, *,
     """The `strategy` quantizer with `levels` levels: "equiprobable", or
     "equidistant" with `step`, by default the fixed-range FIXED_RANGE /
     levels."""
+    if step is not None and strategy != "equidistant":
+        raise DomainError(f"a step applies to the equidistant strategy only, "
+                          f"not to {strategy!r}")
     if strategy == "equiprobable":
         return make_equiprobable(model, levels)
     if strategy != "equidistant":
@@ -184,7 +187,8 @@ def summarize_strategy(model: PufModel, levels: int, strategy: str,
     nodes: make_quantizer's, or for "optimized" the summary the optimizer
     returns with its search against `attacker` at its default
     per-alphabet effort."""
-    if strategy != "optimized":
+    # make_quantizer owns the step rule: it rejects a step for "optimized"
+    if strategy != "optimized" or step is not None:
         return bounds.summarize_channel(
             make_quantizer(model, levels, strategy, step=step), model,
             nodes=nodes)
@@ -195,20 +199,17 @@ def summarize_strategy(model: PufModel, levels: int, strategy: str,
 
 
 def _rate_row(model, levels, p_d, p_a, nodes):
-    def rates(s):                   # (digital, analog lower bound)
-        return [bounds.asymptotic_rate_digital(s, p_d=p_d),
-                bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0]]
-
+    atts = (AttackerSpec("digital", p_d=p_d),
+            AttackerSpec("analog", p_d=p_d, p_a=p_a))
     row = []
     for strategy in ("equidistant", "equiprobable"):
-        row += rates(summarize_strategy(model, levels, strategy, nodes=nodes))
-    # each objective's cell is its public rate on the optimizer's summary;
-    # the search never ends below its equiprobable start on its search
-    # rule, and the max keeps that explicit at `nodes`
-    for k, att in enumerate((AttackerSpec("digital", p_d=p_d),
-                             AttackerSpec("analog", p_d=p_d, p_a=p_a))):
+        s = summarize_strategy(model, levels, strategy, nodes=nodes)
+        row += [bounds.asymptotic_rate(s, att)[0] for att in atts]
+    # each objective's cell is its public rate (the lower bound) on the
+    # optimizer's summary: what `rate --strategy optimized` answers
+    for att in atts:
         s = summarize_strategy(model, levels, "optimized", att, nodes=nodes)
-        row.append(max(rates(s)[k], row[2 + k]))
+        row.append(bounds.asymptotic_rate(s, att)[0])
     return tuple(row)
 
 

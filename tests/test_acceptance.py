@@ -43,7 +43,8 @@ def test_criterion_1_rate_tables_digital_equiprobable():
         for n in (2, 4, 8, 16, 32):
             s = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL,
                                          nodes=128)
-            rate = bounds.asymptotic_rate_digital(s, p_d=p_d)
+            rate = bounds.asymptotic_rate(
+                s, AttackerSpec("digital", p_d=p_d))[0]
             worst = max(worst, abs(rate - PUBLISHED[tid][n][2]))
         elapsed = time.time() - t0
         assert elapsed < 10.0, f"column took {elapsed:.1f}s"
@@ -57,7 +58,8 @@ def test_criterion_2_rate_table_analog_equiprobable():
     for n in (2, 4, 8, 16, 32):
         s = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL,
                                      nodes=128)
-        rates[n] = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)[0]
+        rates[n] = bounds.asymptotic_rate(
+            s, AttackerSpec("analog", p_d=0.18, p_a=0.36))[0]
     worst = max(abs(rates[n] - PUBLISHED[2][n][3]) for n in (2, 4, 8, 16))
     lo32 = rates[32]
     report(2, worst <= 0.006 and lo32 == 0.0,
@@ -157,14 +159,11 @@ def test_criterion_6_optimizer(kind):
         res = optimize_quantizer(MODEL, n, att, budgets[n], nodes=64)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         eq = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL)
+        rate = bounds.asymptotic_rate(s, att)[0]
+        base = bounds.asymptotic_rate(eq, att)[0]
         if kind == "digital":
-            rate = bounds.asymptotic_rate_digital(s, p_d=p_d)
-            base = bounds.asymptotic_rate_digital(eq, p_d=p_d)
             paper = PUBLISHED[2][n][4]
             ok = ok and rate >= paper - 0.005
-        else:
-            rate = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)[0]
-            base = bounds.asymptotic_rate_analog(eq, p_d=p_d, p_a=p_a)[0]
         # data processing: no quantizer beats p_d I(X;Y)
         ok = ok and rate >= base - 1e-4 and res.rate <= unquantized_rate(
             MODEL, p_d)
@@ -210,7 +209,8 @@ def test_criterion_7_property_suite():
     # dispersion formula vs enumeration oracle (small alphabet)
     s4 = bounds.summarize_channel(make_equiprobable(MODEL, 4), MODEL,
                                   nodes=64)
-    ok = ok and abs(bounds.dispersion_v2_digital(s4, 0.18)
+    ok = ok and abs(bounds.dispersion_v2(s4, AttackerSpec("digital",
+                                                          p_d=0.18))
                     - oracle_v1(erasure_joint(s4.joint, 0.18))) < 1e-12
 
     # strict improvement of the exact converse dispersion, 100 sources
@@ -251,7 +251,9 @@ def test_criterion_8_degenerate_identities():
         s = bounds.summarize_channel(make_equiprobable(m, 8), m, nodes=64)
         for p_d in (0.1, 0.18, 0.5, 0.9):
             ref = p_d * (1.0 - p_d) * math.log2(8) ** 2
-            ok = ok and abs(bounds.dispersion_v2_digital(s, p_d) - ref) < 1e-12
-            ok = ok and abs(bounds.dispersion_v2_analog(s, p_d, p_d)
-                            - bounds.dispersion_v2_digital(s, p_d)) < 1e-12
+            dig = AttackerSpec("digital", p_d=p_d)
+            ana = AttackerSpec("analog", p_d=p_d, p_a=p_d)
+            ok = ok and abs(bounds.dispersion_v2(s, dig) - ref) < 1e-12
+            ok = ok and abs(bounds.dispersion_v2(s, ana)
+                            - bounds.dispersion_v2(s, dig)) < 1e-12
     report(8, ok)

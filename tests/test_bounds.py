@@ -27,39 +27,45 @@ class TestAsymptoticRates:
         # a 2-level equiprobable quantizer at these noise levels carries
         # essentially one full bit: rate = p_d (published anchor rows)
         for p_d in (0.1, 0.18):
-            r = bounds.asymptotic_rate_digital(bounds.summarize_channel(
-                make_equiprobable(MODEL, 2), MODEL), p_d=p_d)
+            r = bounds.asymptotic_rate(bounds.summarize_channel(
+                make_equiprobable(MODEL, 2), MODEL),
+                AttackerSpec("digital", p_d=p_d))[0]
             assert r == pytest.approx(p_d, abs=4e-4)
 
     def test_published_digital_anchors(self, summaries):
         # levels 4 and 8 of the published rate tables
-        assert bounds.asymptotic_rate_digital(summaries[4], p_d=0.18) == \
-            pytest.approx(0.360, abs=0.004)
-        assert bounds.asymptotic_rate_digital(summaries[8], p_d=0.18) == \
-            pytest.approx(0.536, abs=0.004)
-        assert bounds.asymptotic_rate_digital(summaries[8], p_d=0.1) == \
-            pytest.approx(0.298, abs=0.004)
+        def rate(n, p_d):
+            return bounds.asymptotic_rate(
+                summaries[n], AttackerSpec("digital", p_d=p_d))[0]
+
+        assert rate(4, 0.18) == pytest.approx(0.360, abs=0.004)
+        assert rate(8, 0.18) == pytest.approx(0.536, abs=0.004)
+        assert rate(8, 0.1) == pytest.approx(0.298, abs=0.004)
 
     def test_published_analog_anchors(self, summaries):
-        lo, hi = bounds.asymptotic_rate_analog(summaries[8], p_d=0.18,
-                                               p_a=0.36)
+        lo, hi = bounds.asymptotic_rate(
+            summaries[8], AttackerSpec("analog", p_d=0.18, p_a=0.36))
         assert lo == pytest.approx(0.524, abs=0.006)
-        assert hi == pytest.approx(bounds.asymptotic_rate_digital(
-            summaries[8], p_d=0.18), abs=1e-12)
+        assert hi == pytest.approx(bounds.asymptotic_rate(
+            summaries[8], AttackerSpec("digital", p_d=0.18))[0], abs=1e-12)
 
     def test_analog_collapse_large_alphabet(self):
         s = bounds.summarize_channel(make_equiprobable(MODEL, 32), MODEL)
-        lo, _ = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)
+        lo, _ = bounds.asymptotic_rate(
+            s, AttackerSpec("analog", p_d=0.18, p_a=0.36))
         assert lo == 0.0
 
     def test_zero_pd_zero_rate(self, summaries):
-        assert bounds.asymptotic_rate_digital(summaries[8], p_d=0.0) == 0.0
+        assert bounds.asymptotic_rate(
+            summaries[8], AttackerSpec("digital", p_d=0.0))[0] == 0.0
 
     def test_parameter_validation(self, summaries):
         with pytest.raises(DomainError):
-            bounds.asymptotic_rate_digital(summaries[4], p_d=1.5)
+            bounds.asymptotic_rate(summaries[4],
+                                   AttackerSpec("digital", p_d=1.5))
         with pytest.raises(DomainError):
-            bounds.asymptotic_rate_analog(summaries[4], p_d=0.5, p_a=0.4)
+            bounds.asymptotic_rate(summaries[4],
+                                   AttackerSpec("analog", p_d=0.5, p_a=0.4))
 
 
 class TestDispersionCrossChecks:
@@ -74,20 +80,22 @@ class TestDispersionCrossChecks:
     @pytest.mark.parametrize("p_d", [0.1, 0.18, 0.5])
     def test_v2_digital_route(self, summaries, p_d):
         for s in summaries.values():
-            assert bounds.dispersion_v2_digital(s, p_d) == pytest.approx(
+            assert bounds.dispersion_v2(
+                s, AttackerSpec("digital", p_d=p_d)) == pytest.approx(
                 oracle_v1(erasure_joint(s.joint, p_d)), abs=1e-12)
 
     @pytest.mark.parametrize("p_d", [0.1, 0.18])
     def test_vc_prime_digital_route(self, summaries, p_d):
         for s in summaries.values():
-            assert bounds.dispersion_vc_prime_digital(s, p_d) == \
-                pytest.approx(oracle_vc_prime(digital_triple(s.joint, p_d)),
-                              abs=1e-12)
+            assert bounds.dispersion_vc(
+                s, AttackerSpec("digital", p_d=p_d)) == pytest.approx(
+                oracle_vc_prime(digital_triple(s.joint, p_d)), abs=1e-12)
 
     def test_vc_analog_theorem_route(self, summaries):
         p_d, p_a = 0.18, 0.36
         for s in summaries.values():
-            assert bounds.dispersion_vc_analog(s, p_d, "theorem") == \
+            ana = AttackerSpec("analog", p_d=p_d, p_a=p_a)
+            assert bounds.dispersion_vc(s, ana, "theorem") == \
                 pytest.approx(oracle_vc(analog_triple(s.joint, p_d, p_a)),
                               abs=1e-12)
 
@@ -95,7 +103,8 @@ class TestDispersionCrossChecks:
     def test_v2_analog_route(self, summaries, p_d, p_a):
         for s in summaries.values():
             ext = analog_triple(s.joint, p_d, p_a).sum(axis=1)
-            assert bounds.dispersion_v2_analog(s, p_d, p_a) == pytest.approx(
+            assert bounds.dispersion_v2(
+                s, AttackerSpec("analog", p_d=p_d, p_a=p_a)) == pytest.approx(
                 oracle_v1(ext), abs=1e-12)
 
     def test_vc_analog_pa_independent(self, summaries):
@@ -108,7 +117,9 @@ class TestDispersionCrossChecks:
 
     def test_variant_validation(self, summaries):
         with pytest.raises(DomainError):
-            bounds.dispersion_vc_analog(summaries[4], 0.18, "other")
+            bounds.dispersion_vc(summaries[4],
+                                 AttackerSpec("analog", p_d=0.18, p_a=0.36),
+                                 "other")
 
 
 class TestDegenerateIdentities:
@@ -133,7 +144,8 @@ class TestDegenerateIdentities:
     def test_noiseless_uniform_v2(self, noiseless, p_d):
         ref = p_d * (1.0 - p_d) * math.log2(8) ** 2
         for s in noiseless:
-            assert bounds.dispersion_v2_digital(s, p_d) == pytest.approx(
+            assert bounds.dispersion_v2(
+                s, AttackerSpec("digital", p_d=p_d)) == pytest.approx(
                 ref, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.1, 0.18, 0.4])
@@ -142,8 +154,10 @@ class TestDegenerateIdentities:
         # erased together with the digital one; for a noiseless channel
         # the remaining (s~, s) outcome carries the same density as s~
         for s in noiseless:
-            assert bounds.dispersion_v2_analog(s, p, p) == pytest.approx(
-                bounds.dispersion_v2_digital(s, p), abs=1e-12)
+            assert bounds.dispersion_v2(
+                s, AttackerSpec("analog", p_d=p, p_a=p)) == pytest.approx(
+                bounds.dispersion_v2(s, AttackerSpec("digital", p_d=p)),
+                abs=1e-12)
 
     def test_noisy_analog_v2_does_not_reduce(self):
         # documented deviation: with substantial channel noise the analog
@@ -152,8 +166,9 @@ class TestDegenerateIdentities:
         # "Noisy analog v2 does not reduce to the digital one"
         m = PufModel(2241.0, 1500.0)
         s = bounds.summarize_channel(make_equiprobable(m, 4), m, nodes=64)
-        diff = abs(bounds.dispersion_v2_analog(s, 0.3, 0.3)
-                   - bounds.dispersion_v2_digital(s, 0.3))
+        diff = abs(
+            bounds.dispersion_v2(s, AttackerSpec("analog", p_d=0.3, p_a=0.3))
+            - bounds.dispersion_v2(s, AttackerSpec("digital", p_d=0.3)))
         assert diff > 1e-3
 
 
@@ -214,7 +229,8 @@ _S4 = bounds.summarize_channel(_Q4, MODEL, nodes=16)
 _FIN = {"n": 1000, "epsilon": 1e-6, "security_bits": 128}
 DIGITAL_RATES = {
     "asymptotic_rate_digital":
-        lambda p_d, s=_S4: bounds.asymptotic_rate_digital(s, p_d=p_d),
+        lambda p_d, s=_S4: bounds.asymptotic_rate(
+            s, AttackerSpec("digital", p_d=p_d)),
     "finite_rate_digital_ach":
         lambda p_d, s=_S4: bounds.finite_rate_digital_ach(s, p_d=p_d, **_FIN),
     "finite_rate_digital_conv":
@@ -223,8 +239,8 @@ DIGITAL_RATES = {
 }
 ANALOG_RATES = {
     "asymptotic_rate_analog":
-        lambda p_d, p_a, s=_S4: bounds.asymptotic_rate_analog(s, p_d=p_d,
-                                                              p_a=p_a),
+        lambda p_d, p_a, s=_S4: bounds.asymptotic_rate(
+            s, AttackerSpec("analog", p_d=p_d, p_a=p_a)),
     "finite_rate_analog_ach":
         lambda p_d, p_a, s=_S4: bounds.finite_rate_analog_ach(
             s, p_d=p_d, p_a=p_a, **_FIN),
@@ -235,9 +251,10 @@ ANALOG_RATES = {
 
 
 class TestParameterDomain:
-    """Every loose-parameter rate function rejects an out-of-range
-    (p_d, p_a) with a DomainError, and every rate function and min_cells
-    reject a quantizer where they take a ChannelSummary."""
+    """Every rate function rejects an out-of-range (p_d, p_a) with a
+    DomainError (asymptotic_rate through the AttackerSpec it takes), and
+    every rate function and min_cells reject a quantizer where they take
+    a ChannelSummary."""
 
     @pytest.mark.parametrize("name", sorted(DIGITAL_RATES))
     def test_digital_rate_needs_a_summary(self, name):
@@ -415,6 +432,7 @@ class TestAnalogTables:
         # so it is never above the theorem form
         q = make_equiprobable(MODEL, 8)
         s = bounds.summarize_channel(q, MODEL, nodes=64)
-        ref = bounds.dispersion_vc_analog(s, 0.18, "reference")
-        thm = bounds.dispersion_vc_analog(s, 0.18, "theorem")
+        att = AttackerSpec("analog", p_d=0.18, p_a=0.36)
+        ref = bounds.dispersion_vc(s, att, "reference")
+        thm = bounds.dispersion_vc(s, att, "theorem")
         assert ref <= thm

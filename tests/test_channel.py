@@ -475,6 +475,8 @@ class TestAttackerSpec:
             AttackerSpec("digital", p_d=1.5)
         with pytest.raises(DomainError):
             AttackerSpec("sideways", p_d=0.1)
+        with pytest.raises(DomainError, match="p_a"):
+            AttackerSpec("digital", p_d=0.18, p_a=0.9)
 
 
 class TestExtensions:

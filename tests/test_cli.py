@@ -57,6 +57,8 @@ class TestRate:
 BAD_ATTACKERS = [
     ("digital", "1.5", None), ("digital", "-0.1", None),
     ("analog", "0.36", "0.18"), ("analog", "0.18", "1.2"),
+    # p_a does not apply to the digital attacker, so it is not dropped
+    ("digital", "0.18", "0.9"),
 ]
 
 
@@ -119,6 +121,19 @@ DOMAIN_ERRORS = {
                                       *EQUIDISTANT, "--levels", "0"],
     # the digital cell tables have no p_a to override
     "table-digital-pa": ["table", "--id", "3", "--override", "pa=0.9"],
+    # a step applies to the equidistant strategy only, so it is not dropped
+    "rate-equiprobable-step": ["rate", "--attacker", "digital", "--pd",
+                               "0.18", "--levels", "8", "--strategy",
+                               "equiprobable", "--step", "5"],
+    "cells-equiprobable-step": ["cells", "--attacker", "digital", "--pd",
+                                "0.18", "--security", "128", "--strategy",
+                                "equiprobable", "--step", "5"],
+    "simulate-equiprobable-step": ["simulate", "--samples", "1000",
+                                   "--strategy", "equiprobable", "--step",
+                                   "5"],
+    "rate-optimized-step": ["rate", "--attacker", "digital", "--pd", "0.18",
+                            "--levels", "4", "--strategy", "optimized",
+                            "--step", "3"],
 }
 
 
@@ -166,6 +181,22 @@ class TestCells:
         res = run(runner, "cells", "--attacker", "digital", "--pd", "0.18",
                   "--levels", "8", "--security", "0")
         assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["cells", "--attacker", "digital", "--pd", "0.18", "--security", "128"],
+    ["audit", "--cells", "500"],
+], ids=["cells", "audit"])
+def test_bad_eps_fails_before_the_search(runner, monkeypatch, args):
+    # the epsilon rule is checked before the optimizer runs
+    calls = []
+    monkeypatch.setattr(optimize, "optimize_quantizer",
+                        lambda *a, **k: calls.append(a))
+    res = run(runner, *args, "--levels", "64", "--strategy", "optimized",
+              "--eps", "2")
+    assert res.exit_code == 2
+    assert "epsilon" in res.output
+    assert calls == []
 
 
 QUERIES = {
@@ -410,7 +441,7 @@ class TestOptimizeCommand:
                               "--pd", "0.18").output)
         att = channel.AttackerSpec("digital", p_d=0.18)
         s = tables.summarize_strategy(PufModel(), 4, "optimized", att)
-        assert data["rate"] == bounds.asymptotic_rate_digital(s, p_d=0.18)
+        assert data["rate"] == bounds.asymptotic_rate(s, att)[0]
         assert (data["quantizer"]["borders"]
                 == s.quantizer.inner_borders.tolist())
 

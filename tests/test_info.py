@@ -6,7 +6,7 @@ import pytest
 from oracles import (analog_triple, digital_triple, erasure_joint, oracle_v1,
                      oracle_vc, oracle_vc_prime, random_markov)
 from pufsec import bounds
-from pufsec.channel import _quadrature, _rule
+from pufsec.channel import AttackerSpec, _quadrature, _rule
 from pufsec.stats import DomainError, PufModel
 from pufsec.quantizer import make_equidistant, make_equiprobable
 from pufsec.tables import RATE_LEVELS, make_quantizer
@@ -80,10 +80,12 @@ class TestDispersionOracles:
         p_d, p_a = random_attacker(rng)
         assert bounds.dispersion_v1(s) == pytest.approx(oracle_v1(s.joint),
                                                         abs=1e-12)
-        assert bounds.dispersion_v2_digital(s, p_d) == pytest.approx(
+        dig = AttackerSpec("digital", p_d=p_d)
+        assert bounds.dispersion_v2(s, dig) == pytest.approx(
             oracle_v1(erasure_joint(s.joint, p_d)), abs=1e-12)
         ext = analog_triple(s.joint, p_d, p_a).sum(axis=1)
-        assert bounds.dispersion_v2_analog(s, p_d, p_a) == pytest.approx(
+        ana = AttackerSpec("analog", p_d=p_d, p_a=p_a)
+        assert bounds.dispersion_v2(s, ana) == pytest.approx(
             oracle_v1(ext), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -91,7 +93,8 @@ class TestDispersionOracles:
         rng = np.random.default_rng(100 + seed)
         s = random_summary(rng)
         p_d, p_a = random_attacker(rng)
-        assert bounds.dispersion_vc_analog(s, p_d, "theorem") == \
+        ana = AttackerSpec("analog", p_d=p_d, p_a=p_a)
+        assert bounds.dispersion_vc(s, ana, "theorem") == \
             pytest.approx(oracle_vc(analog_triple(s.joint, p_d, p_a)),
                           abs=1e-12)
 
@@ -100,7 +103,8 @@ class TestDispersionOracles:
         rng = np.random.default_rng(200 + seed)
         s = random_summary(rng)
         p_d, _ = random_attacker(rng)
-        assert bounds.dispersion_vc_prime_digital(s, p_d) == pytest.approx(
+        dig = AttackerSpec("digital", p_d=p_d)
+        assert bounds.dispersion_vc(s, dig) == pytest.approx(
             oracle_vc_prime(digital_triple(s.joint, p_d)), abs=1e-12)
 
     def test_strict_improvement_on_100_markov_sources(self):

@@ -45,9 +45,9 @@ class TestEquidistantStep:
         # range convention used by the published tables
         from pufsec.quantizer import make_equidistant
         step, rate = best_equidistant_step(MODEL, 8, DIGITAL, nodes=64)
-        fixed = bounds.asymptotic_rate_digital(bounds.summarize_channel(
+        fixed = bounds.asymptotic_rate(bounds.summarize_channel(
             make_equidistant(MODEL, 8, 20000.0 / 8), MODEL, nodes=64),
-            p_d=0.18)
+            DIGITAL)[0]
         assert rate >= fixed - 1e-9
 
     def test_analog_objective(self):
@@ -87,8 +87,8 @@ class TestOptimizer:
     @pytest.mark.parametrize("n,paper", [(2, 0.18), (4, 0.36), (8, 0.537)])
     def test_digital_small_alphabets(self, n, paper):
         res = optimize_quantizer(MODEL, n, DIGITAL, budget=400, nodes=64)
-        equiprob = bounds.asymptotic_rate_digital(
-            _summary(make_equiprobable(MODEL, n), 64), p_d=0.18)
+        equiprob = bounds.asymptotic_rate(
+            _summary(make_equiprobable(MODEL, n), 64), DIGITAL)[0]
         assert _below_unquantized(res)
         assert res.rate >= equiprob - 1e-4
         assert res.rate >= paper - 0.005
@@ -105,22 +105,22 @@ class TestOptimizer:
         # one rate formula: the objective is exactly the public asymptotic
         # rate (the lower bound for the analog attacker) at the search nodes
         dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
-        assert dig.rate == bounds.asymptotic_rate_digital(
-            _summary(dig.quantizer, 64), p_d=0.18)
+        assert dig.rate == bounds.asymptotic_rate(
+            _summary(dig.quantizer, 64), DIGITAL)[0]
         ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200, nodes=64)
-        assert ana.rate == bounds.asymptotic_rate_analog(
-            _summary(ana.quantizer, 64), p_d=0.18, p_a=0.36)[0]
+        assert ana.rate == bounds.asymptotic_rate(
+            _summary(ana.quantizer, 64), ANALOG)[0]
         assert _below_unquantized(dig) and _below_unquantized(ana)
 
     def test_default_nodes_give_the_public_rate(self):
         # with no nodes argument the reported rate is read on the same
         # 128-node cap as summarize_channel's default
         dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60)
-        assert dig.rate == bounds.asymptotic_rate_digital(
-            bounds.summarize_channel(dig.quantizer), p_d=0.18)
+        assert dig.rate == bounds.asymptotic_rate(
+            bounds.summarize_channel(dig.quantizer), DIGITAL)[0]
         ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
-        assert ana.rate == bounds.asymptotic_rate_analog(
-            bounds.summarize_channel(ana.quantizer), p_d=0.18, p_a=0.36)[0]
+        assert ana.rate == bounds.asymptotic_rate(
+            bounds.summarize_channel(ana.quantizer), ANALOG)[0]
         assert _below_unquantized(dig) and _below_unquantized(ana)
 
     def test_rate_is_the_public_rate_of_its_summary(self):
@@ -129,13 +129,11 @@ class TestOptimizer:
         dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60, nodes=64)
         assert dig.summary.quantizer is dig.quantizer
         assert dig.summary.nodes == 64 and dig.summary.model == MODEL
-        assert dig.rate == bounds.asymptotic_rate_digital(dig.summary,
-                                                          p_d=0.18)
+        assert dig.rate == bounds.asymptotic_rate(dig.summary, DIGITAL)[0]
         ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
         assert ana.summary.quantizer is ana.quantizer
         assert ana.summary.nodes == 128
-        assert ana.rate == bounds.asymptotic_rate_analog(
-            ana.summary, p_d=0.18, p_a=0.36)[0]
+        assert ana.rate == bounds.asymptotic_rate(ana.summary, ANALOG)[0]
 
     def test_budget_accounting(self):
         res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64)

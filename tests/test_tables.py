@@ -94,7 +94,7 @@ class TestSummarizeStrategy:
         assert s.quantizer.kind == "optimized" and s.nodes == 64
         assert np.array_equal(s.quantizer.inner_borders,
                               res.quantizer.inner_borders)
-        assert bounds.asymptotic_rate_digital(s, p_d=0.18) == res.rate
+        assert bounds.asymptotic_rate(s, dig)[0] == res.rate
 
     def test_constructed_strategies_are_summarized_at_nodes(self):
         s = summarize_strategy(MODEL, 8, "equidistant", nodes=64,
@@ -164,11 +164,13 @@ def test_non_optimized_rate_cells_match_published(levels):
         s = bounds.summarize_channel(q, MODEL)
         for tid in (1, 2):
             p_d, p_a = CAPTIONS[tid]["p_d"], CAPTIONS[tid]["p_a"]
-            lower, upper = bounds.asymptotic_rate_analog(s, p_d=p_d, p_a=p_a)
+            lower, upper = bounds.asymptotic_rate(
+                s, AttackerSpec("analog", p_d=p_d, p_a=p_a))
             # data processing: not even the analog upper bound exceeds
             # p_d I(X;Y)
             assert upper <= unquantized_rate(MODEL, p_d), (tid, strategy)
-            got = {"digital": bounds.asymptotic_rate_digital(s, p_d=p_d),
+            got = {"digital": bounds.asymptotic_rate(
+                       s, AttackerSpec("digital", p_d=p_d))[0],
                    "analog": lower}
             for attacker, rate in got.items():
                 col = f"{strategy} {attacker}"
@@ -214,12 +216,19 @@ def test_optimized_cell_is_the_public_rate_of_its_quantizer():
     dig = AttackerSpec("digital", p_d=0.18)
     ana = AttackerSpec("analog", p_d=0.18, p_a=0.36)
     limit = unquantized_rate(MODEL, 0.18)
+    table = generate_table(TableSpec(2, {"levels": [4, 8]}), MODEL)
+    col = RATE_COLUMNS.index("optimized digital")     # then optimized analog
+    cells = {row["levels"]: row["values"][col:col + 2]
+             for row in table["rows"]}
     for levels in (4, 8):
         res = optimize_quantizer(MODEL, levels, dig, nodes=128)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
-        assert res.rate == bounds.asymptotic_rate_digital(s, p_d=0.18)
+        assert res.rate == bounds.asymptotic_rate(s, dig)[0]
+        # the table's optimized cells are the query answers, unclamped
+        assert cells[levels][0] == bounds.asymptotic_rate(res.summary, dig)[0]
         res = optimize_quantizer(MODEL, levels, ana, nodes=128)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
-        lower, upper = bounds.asymptotic_rate_analog(s, p_d=0.18, p_a=0.36)
+        lower, upper = bounds.asymptotic_rate(s, ana)
         assert res.rate == lower
+        assert cells[levels][1] == bounds.asymptotic_rate(res.summary, ana)[0]
         assert upper <= limit
