@@ -213,6 +213,11 @@ def _check_eps_lambda(epsilon, security_bits):
             f"epsilon + delta must be < 1, got {epsilon} + {delta}")
 
 
+def _check_cap(cap):
+    if cap < 1:
+        raise DomainError(f"cap must be >= 1, got {cap}")
+
+
 def _rate_terms(att: AttackerSpec, direction: str, s: ChannelSummary,
                 epsilon: float, security_bits: float):
     """(first, penalty) with rate(n) = first - penalty / sqrt(n), the
@@ -310,8 +315,7 @@ def min_cells(query: BoundQuery, direction: str,
     increases wherever it is positive (DECISIONS.md, "Closed-form
     min_cells").
     """
-    if cap < 1:
-        raise DomainError(f"cap must be >= 1, got {cap}")
+    _check_cap(cap)
     _check_summary(summary)
     q, sq = query.quantizer, summary.quantizer
     # identity first: every caller in the package passes the query's own

@@ -181,12 +181,11 @@ def _rule(q: InputQuantizer, model: PufModel, nodes: int,
 # tolerances of its half rule (DECISIONS.md, "Error-controlled node count").
 _CHANNEL_TOL = 1e-10
 _MI_TOL = 1e-12
-# The optimizer scores every candidate on this one rule (or on the `nodes`
-# cap, if smaller): the first rule the chain can certify, and the one it
-# certifies for most quantizers (DECISIONS.md, "Error-controlled node
-# count").
+# The optimizer scores every candidate on this one rule: the first rule the
+# chain can certify, and the one it certifies for most quantizers
+# (DECISIONS.md, "Error-controlled node count").
 _SEARCH_NODES = 32
-# The default cap of the chain: of every summary, table and `--nodes`.
+# The cap of the chain behind every summary, query and table.
 _NODE_CAP = 128
 
 

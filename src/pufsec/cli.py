@@ -10,7 +10,7 @@ import sys
 import click
 
 from .stats import DomainError, PufModel
-from .channel import AttackerSpec, _NODE_CAP
+from .channel import AttackerSpec
 from . import bounds, optimize as opt_mod, sim, tables
 
 STRATEGIES = ("equiprobable", "equidistant", "optimized")
@@ -104,11 +104,6 @@ class _Group(_Command, click.Group):
               help="PUF response standard deviation.")
 @click.option("--sigma-n", default=PufModel.sigma_n, show_default=True,
               help="Reconstruction noise standard deviation.")
-@click.option("--nodes", default=_NODE_CAP, show_default=True,
-              help="Cap on the Gauss-Legendre nodes for helper-data "
-              "averaging: rules double from 16 nodes up to this count and "
-              "the first that agrees with its half rule is used; the "
-              "reported quadrature deltas compare the two.")
 @click.option("--format", "fmt", default="markdown", show_default=True,
               type=click.Choice(["markdown", "csv", "json"]))
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -116,13 +111,10 @@ class _Group(_Command, click.Group):
 @click.option("--seed", default=0, show_default=True,
               help="Seed for the simulate subcommand.")
 @click.pass_context
-def main(ctx, sigma_p, sigma_n, nodes, fmt, out, seed):
+def main(ctx, sigma_p, sigma_n, fmt, out, seed):
     """Secret-key rates, finite-length cell counts, and security audits
     for quantized Gaussian PUF cells with zero-leakage helper data."""
-    model = PufModel(sigma_p, sigma_n)
-    if nodes < 16:
-        _fail("--nodes must be >= 16")
-    ctx.obj = {"model": model, "nodes": nodes, "fmt": fmt, "out": out,
+    ctx.obj = {"model": PufModel(sigma_p, sigma_n), "fmt": fmt, "out": out,
                "seed": seed}
 
 
@@ -144,7 +136,7 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     """Asymptotic secret-key rate in bits per PUF cell."""
     att = _attacker(attacker, p_d, p_a)
     s = tables.summarize_strategy(_model(ctx), levels, strategy, att,
-                                  nodes=ctx.obj["nodes"], step=step)
+                                  step=step)
     record = {"attacker": attacker, "levels": levels,
               "strategy": strategy, "p_d": p_d}
     lo, hi = bounds.asymptotic_rate(s, att)
@@ -176,9 +168,10 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
           cap):
     """Minimum PUF cell counts: achievability and converse."""
     bounds._check_eps_lambda(eps, security)
+    bounds._check_cap(cap)
     att = _attacker(attacker, p_d, p_a)
     summary = tables.summarize_strategy(_model(ctx), levels, strategy, att,
-                                        nodes=ctx.obj["nodes"], step=step)
+                                        step=step)
     query = bounds.BoundQuery(attacker=att, quantizer=summary.quantizer,
                               epsilon=eps, security_bits=security, n=None)
     ach = bounds.min_cells(query, "achievability", cap, summary=summary)
@@ -220,8 +213,7 @@ def _parse_overrides(pairs):
 def table(ctx, table_id, compare, override):
     """Reproduce one of the eight published tables."""
     spec = tables.TableSpec(table_id, _parse_overrides(override))
-    data = tables.generate_table(spec, _model(ctx), nodes=ctx.obj["nodes"],
-                                 compare=compare)
+    data = tables.generate_table(spec, _model(ctx), compare=compare)
     _emit(ctx, tables.render(data, ctx.obj["fmt"]))
 
 
@@ -246,8 +238,7 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
     bounds._check_n(n)
     bounds._check_eps_lambda(eps, security)
     att = _attacker(attacker, p_d, p_a)
-    summary = tables.summarize_strategy(_model(ctx), levels, strategy, att,
-                                        nodes=ctx.obj["nodes"])
+    summary = tables.summarize_strategy(_model(ctx), levels, strategy, att)
     query = bounds.BoundQuery(attacker=att, quantizer=summary.quantizer,
                               epsilon=eps, security_bits=security, n=n)
     cap = max(10 * n, 10 ** 6)
@@ -257,8 +248,10 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
               "attacker": attacker, "p_d": p_d, "epsilon": eps,
               "security_bits": security, "converse_min_cells": conv,
               "gap": None if conv is None else n - conv,
-              "verdict": "FEASIBLE" if feasible else "INFEASIBLE",
-              **_quadrature_fields(summary)}
+              "verdict": "FEASIBLE" if feasible else "INFEASIBLE"}
+    if attacker == "analog":
+        record["p_a"] = p_a
+    record.update(_quadrature_fields(summary))
     _emit(ctx, _render_record(ctx, record, cap))
     if not feasible:
         sys.exit(1)
@@ -314,8 +307,7 @@ def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
     """Search for the rate-maximizing input quantizer."""
     att = _attacker(attacker, p_d, p_a)
     res = opt_mod.optimize_quantizer(
-        model=_model(ctx), levels=levels, objective=att, budget=budget,
-        nodes=ctx.obj["nodes"])
+        model=_model(ctx), levels=levels, objective=att, budget=budget)
     record = {"attacker": attacker, "levels": levels, "p_d": p_d,
               "rate": res.rate, "evaluations": res.evaluations,
               "budget_exhausted": res.budget_exhausted,

@@ -24,7 +24,7 @@ from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant
 # per_w_channels stays bound here although _rule makes the call: the
 # perfbench tracer wraps it, and checks the wrap, in this namespace.
-from .channel import AttackerSpec, _NODE_CAP, _SEARCH_NODES, _rule
+from .channel import AttackerSpec, _SEARCH_NODES, _rule
 from .channel import per_w_channels  # noqa: F401
 from .info import entropy
 from .bounds import ChannelSummary, _asymptotic_rate, summarize_channel
@@ -51,11 +51,11 @@ class OptimizeResult:
         return self.summary.quantizer
 
 
-def _rate(q: InputQuantizer, attacker: AttackerSpec, nodes: int) -> float:
-    """Asymptotic rate on the one `nodes`-point rule, without the averaged
-    channel and dispersion moments a ChannelSummary would also compute:
-    the objective must not switch rules between candidates."""
-    mi = _rule(q, q.model, nodes, channel=False)[1]
+def _rate(q: InputQuantizer, attacker: AttackerSpec) -> float:
+    """Asymptotic rate on the one _SEARCH_NODES-point rule, without the
+    averaged channel and dispersion moments a ChannelSummary would also
+    compute: the objective must not switch rules between candidates."""
+    mi = _rule(q, q.model, _SEARCH_NODES, channel=False)[1]
     return _asymptotic_rate(attacker, mi, entropy(q.probs))
 
 
@@ -76,16 +76,15 @@ def repair_knots(u: np.ndarray) -> np.ndarray:
 
 
 def best_equidistant_step(model: PufModel, levels: int,
-                          objective: AttackerSpec, *,
-                          nodes: int = _SEARCH_NODES):
+                          objective: AttackerSpec):
     """(step, rate) maximizing the asymptotic rate over the step size.
 
     Bounded scalar search on log-step over [sigma_P/50, 10*sigma_P],
     restarted on _STEP_SUBINTERVALS subintervals because the objective need
     not be unimodal; steps whose tail intervals underflow score -inf.
-    `nodes` is the fixed Gauss-Legendre rule every step is scored on, by
-    default the optimizer's, and the returned rate is read on that rule:
-    not a cap of the error-controlled quadrature, unlike the public rates'.
+    Every step is scored, and the returned rate read, on the optimizer's
+    one fixed rule, not on the error-controlled quadrature of the public
+    rates.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -97,14 +96,14 @@ def best_equidistant_step(model: PufModel, levels: int,
             q = make_equidistant(model, levels, math.exp(log_step))
         except DomainError:
             return 1e9          # infeasible step (empty tail intervals)
-        return -_rate(q, objective, nodes)
+        return -_rate(q, objective)
 
     lo = math.log(model.sigma_p / 50.0)
     hi = math.log(10.0 * model.sigma_p)
     if levels == 2:
         # all steps give the single border at zero
         step = model.sigma_p
-        return step, _rate(make_equidistant(model, 2, step), objective, nodes)
+        return step, _rate(make_equidistant(model, 2, step), objective)
     best = (None, math.inf)
     edges = np.linspace(lo, hi, _STEP_SUBINTERVALS + 1)
     for a, b in zip(edges[:-1], edges[1:]):
@@ -137,8 +136,7 @@ def _symmetric_quantizer(model: PufModel, h: np.ndarray,
 
 
 def optimize_quantizer(model: PufModel, levels: int,
-                       objective: AttackerSpec, budget: int | None = None,
-                       *, nodes: int = _NODE_CAP):
+                       objective: AttackerSpec, budget: int | None = None):
     """Best mirror-symmetric input quantizer found within the budget, by
     default the per-alphabet `_BUDGETS`.
 
@@ -146,12 +144,13 @@ def optimize_quantizer(model: PufModel, levels: int,
     half of the knot vector is searched.  The two structured starts, the
     equiprobable and the best equidistant quantizer, are always scored;
     one Nelder-Mead from the better of them spends the rest of the budget.
-    The search is deterministic, its objective is never below the better
-    start's, and it makes at most max(budget, 2) objective evaluations.
-    Every candidate, the starts included, is scored on the one
-    min(`nodes`, 32)-point rule (`channel._SEARCH_NODES`); the result
-    carries the found quantizer's `summarize_channel` summary at `nodes`,
-    and its rate is the public one on that summary.
+    The search is deterministic and its objective is never below the
+    better start's.  Every candidate, the starts included, is scored on the
+    one `channel._SEARCH_NODES`-point rule; the result carries the found
+    quantizer's `summarize_channel` summary, and its rate is the public one
+    on that summary.  `evaluations` counts the scorings of the starts and of
+    the Nelder-Mead, at most max(budget, 2); the step search behind the
+    equidistant start is neither counted nor bound by the budget.
     """
     if levels < 2:
         raise DomainError(f"levels must be >= 2, got {levels}")
@@ -162,7 +161,6 @@ def optimize_quantizer(model: PufModel, levels: int,
     # local: only the optimizer needs scipy.optimize, which is slow to import
     from scipy import optimize as sciopt
 
-    search_nodes = min(nodes, _SEARCH_NODES)
     evals = 0
 
     def neg_rate(h):
@@ -172,13 +170,12 @@ def optimize_quantizer(model: PufModel, levels: int,
             q = _symmetric_quantizer(model, h, levels)
         except DomainError:
             return 1e9
-        return -_rate(q, objective, search_nodes)
+        return -_rate(q, objective)
 
     half = (levels - 1) // 2
     starts = [np.arange(1, half + 1) / levels]
     try:
-        step, _ = best_equidistant_step(model, levels, objective,
-                                        nodes=search_nodes)
+        step, _ = best_equidistant_step(model, levels, objective)
         starts.append(make_equidistant(model, levels, step).cdf[1:half + 1])
     except DomainError:
         pass
@@ -193,8 +190,7 @@ def optimize_quantizer(model: PufModel, levels: int,
             best_h, best_f = res.x, res.fun
     # the search scores on one fixed rule; the reported rate is re-scored
     # on the error-controlled quadrature every public rate uses
-    s = summarize_channel(_symmetric_quantizer(model, best_h, levels), model,
-                          nodes=nodes)
+    s = summarize_channel(_symmetric_quantizer(model, best_h, levels), model)
     return OptimizeResult(
         summary=s, rate=_asymptotic_rate(objective, s.i_cond, s.h_s),
         evaluations=evals, budget_exhausted=evals >= budget,

@@ -15,7 +15,7 @@ import json
 
 from .stats import DomainError, PufModel
 from .quantizer import InputQuantizer, make_equidistant, make_equiprobable
-from .channel import AttackerSpec, _NODE_CAP
+from .channel import AttackerSpec
 from . import bounds, optimize
 
 FIXED_RANGE = 20000.0          # full-scale measurement range of the reference
@@ -181,43 +181,38 @@ def make_quantizer(model: PufModel, levels: int, strategy: str, *,
 
 def summarize_strategy(model: PufModel, levels: int, strategy: str,
                        attacker: AttackerSpec | None = None, *,
-                       nodes: int = _NODE_CAP,
                        step: float | None = None) -> bounds.ChannelSummary:
-    """Channel summary of the `strategy` quantizer on at most `nodes`
-    nodes: make_quantizer's, or for "optimized" the summary the optimizer
-    returns with its search against `attacker` at its default
-    per-alphabet effort."""
+    """Channel summary of the `strategy` quantizer: make_quantizer's, or
+    for "optimized" the summary the optimizer returns with its search
+    against `attacker` at its default per-alphabet effort."""
     # make_quantizer owns the step rule: it rejects a step for "optimized"
     if strategy != "optimized" or step is not None:
         return bounds.summarize_channel(
-            make_quantizer(model, levels, strategy, step=step), model,
-            nodes=nodes)
+            make_quantizer(model, levels, strategy, step=step), model)
     if attacker is None:
         raise DomainError("the optimized strategy needs an attacker")
-    return optimize.optimize_quantizer(model, levels, attacker,
-                                       nodes=nodes).summary
+    return optimize.optimize_quantizer(model, levels, attacker).summary
 
 
-def _rate_row(model, levels, p_d, p_a, nodes):
+def _rate_row(model, levels, p_d, p_a):
     atts = (AttackerSpec("digital", p_d=p_d),
             AttackerSpec("analog", p_d=p_d, p_a=p_a))
     row = []
     for strategy in ("equidistant", "equiprobable"):
-        s = summarize_strategy(model, levels, strategy, nodes=nodes)
+        s = summarize_strategy(model, levels, strategy)
         row += [bounds.asymptotic_rate(s, att)[0] for att in atts]
     # each objective's cell is its public rate (the lower bound) on the
     # optimizer's summary: what `rate --strategy optimized` answers
     for att in atts:
-        s = summarize_strategy(model, levels, "optimized", att, nodes=nodes)
+        s = summarize_strategy(model, levels, "optimized", att)
         row.append(bounds.asymptotic_rate(s, att)[0])
     return tuple(row)
 
 
-def _cells_row(model, levels, params, nodes):
+def _cells_row(model, levels, params):
     att = AttackerSpec(params["attacker"], p_d=params["p_d"],
                        p_a=params.get("p_a"))
-    summary = summarize_strategy(model, levels, params["strategy"], att,
-                                 nodes=nodes)
+    summary = summarize_strategy(model, levels, params["strategy"], att)
     out = []
     for lam in SECURITY_LEVELS:
         query = bounds.BoundQuery(attacker=att, quantizer=summary.quantizer,
@@ -229,7 +224,7 @@ def _cells_row(model, levels, params, nodes):
 
 
 def generate_table(spec: TableSpec, model: PufModel | None = None, *,
-                   nodes: int = _NODE_CAP, compare: bool = False) -> dict:
+                   compare: bool = False) -> dict:
     """Compute a full table; returns a plain dict ready for rendering.
 
     With compare=True each row carries the published values and per-cell
@@ -245,10 +240,9 @@ def generate_table(spec: TableSpec, model: PufModel | None = None, *,
     rows = []
     for lv in spec.levels:
         if params["kind"] == "rates":
-            values = _rate_row(model, lv, params["p_d"], params["p_a"],
-                               nodes)
+            values = _rate_row(model, lv, params["p_d"], params["p_a"])
         else:
-            values = _cells_row(model, lv, params, nodes)
+            values = _cells_row(model, lv, params)
         row = {"levels": lv, "values": values}
         if compare:
             ref = PUBLISHED[spec.table_id].get(lv)

@@ -156,7 +156,7 @@ def test_criterion_6_optimizer(kind):
     ok = True
     details = []
     for i, n in enumerate((2, 4, 8, 16, 32)):
-        res = optimize_quantizer(MODEL, n, att, budgets[n], nodes=64)
+        res = optimize_quantizer(MODEL, n, att, budgets[n])
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         eq = bounds.summarize_channel(make_equiprobable(MODEL, n), MODEL)
         rate = bounds.asymptotic_rate(s, att)[0]

@@ -183,19 +183,37 @@ class TestCells:
         assert res.exit_code == 2
 
 
-@pytest.mark.parametrize("args", [
-    ["cells", "--attacker", "digital", "--pd", "0.18", "--security", "128"],
-    ["audit", "--cells", "500"],
-], ids=["cells", "audit"])
-def test_bad_eps_fails_before_the_search(runner, monkeypatch, args):
-    # the epsilon rule is checked before the optimizer runs
+@pytest.mark.parametrize("command", ["rate", "cells", "audit", "optimize"])
+def test_analog_record_carries_pa(runner, command):
+    args = [command, "--attacker", "analog", "--pd", "0.18", "--pa", "0.36",
+            "--levels", "4"]
+    if command == "cells":
+        args += ["--security", "128"]
+    elif command == "audit":
+        args += ["--cells", "500"]
+    res = run(runner, "--format", "json", *args)
+    assert res.exit_code in (0, 1)
+    assert json.loads(res.output)["p_a"] == 0.36
+
+
+_CELLS = ["cells", "--attacker", "digital", "--pd", "0.18", "--security",
+          "128"]
+
+
+@pytest.mark.parametrize("args,message", [
+    (_CELLS + ["--eps", "2"], "epsilon"),
+    (["audit", "--cells", "500", "--eps", "2"], "epsilon"),
+    (_CELLS + ["--cap", "0"], "cap"),
+    (_CELLS + ["--cap", "-5"], "cap"),
+], ids=["cells", "audit", "cells-cap-0", "cells-cap-negative"])
+def test_bad_eps_fails_before_the_search(runner, monkeypatch, args, message):
+    # the epsilon and cap rules are checked before the optimizer runs
     calls = []
     monkeypatch.setattr(optimize, "optimize_quantizer",
                         lambda *a, **k: calls.append(a))
-    res = run(runner, *args, "--levels", "64", "--strategy", "optimized",
-              "--eps", "2")
+    res = run(runner, *args, "--levels", "64", "--strategy", "optimized")
     assert res.exit_code == 2
-    assert "epsilon" in res.output
+    assert message in res.output
     assert calls == []
 
 
@@ -221,9 +239,9 @@ def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
         return summaries[-1]
 
     monkeypatch.setattr(bounds, "summarize_channel", spy)
-    res = run(runner, "--nodes", "16", "--format", "json", *args)
+    res = run(runner, "--format", "json", *args)
     assert res.exit_code in (0, 1)
-    assert [s.nodes for s in summaries] == [16]
+    assert [s.nodes for s in summaries] == [128]
     record = json.loads(res.output)
     assert (record["quadrature_delta"]
             == summaries[0].metadata["refinement_delta"])
@@ -456,11 +474,14 @@ def test_cli_defaults_are_the_library_defaults():
         return inspect.signature(fn).parameters[name].default
 
     model = PufModel()
+    assert {p.name for p in main.params} == {"sigma_p", "sigma_n", "fmt",
+                                             "out", "seed"}
     assert option(main, "sigma_p") == model.sigma_p
     assert option(main, "sigma_n") == model.sigma_n
-    for fn in (bounds.summarize_channel, tables.summarize_strategy,
-               tables.generate_table, optimize.optimize_quantizer):
-        assert option(main, "nodes") == _default(fn, "nodes")
+    # the quadrature cap is the chain's own: no front end takes one
+    for fn in (tables.summarize_strategy, tables.generate_table,
+               optimize.optimize_quantizer, optimize.best_equidistant_step):
+        assert "nodes" not in inspect.signature(fn).parameters
     assert (option(main.commands["cells"], "cap")
             == _default(bounds.min_cells, "cap"))
     assert option(main.commands["optimize"], "budget") is None

@@ -44,14 +44,13 @@ class TestEquidistantStep:
         # the searched step must be at least as good as the fixed +-10000
         # range convention used by the published tables
         from pufsec.quantizer import make_equidistant
-        step, rate = best_equidistant_step(MODEL, 8, DIGITAL, nodes=64)
+        step, rate = best_equidistant_step(MODEL, 8, DIGITAL)
         fixed = bounds.asymptotic_rate(bounds.summarize_channel(
-            make_equidistant(MODEL, 8, 20000.0 / 8), MODEL, nodes=64),
-            DIGITAL)[0]
+            make_equidistant(MODEL, 8, 20000.0 / 8), MODEL), DIGITAL)[0]
         assert rate >= fixed - 1e-9
 
     def test_analog_objective(self):
-        step, rate = best_equidistant_step(MODEL, 16, ANALOG, nodes=64)
+        step, rate = best_equidistant_step(MODEL, 16, ANALOG)
         # analog-optimal equidistant spacing packs levels tighter than the
         # digital optimum and clears the published optimized value
         assert rate > 0.600
@@ -62,7 +61,7 @@ class TestEquidistantStep:
 
     def test_optimizer_starts_from_the_default_step(self, monkeypatch):
         # the equidistant start the optimizer scores is the step this
-        # function returns at its defaults
+        # function returns
         steps, real = [], optimize.best_equidistant_step
 
         def spy(*args, **kw):
@@ -74,8 +73,8 @@ class TestEquidistantStep:
         assert steps == [best_equidistant_step(MODEL, 8, DIGITAL)[0]]
 
 
-def _summary(q, nodes=128):
-    return bounds.summarize_channel(q, MODEL, nodes=nodes)
+def _summary(q):
+    return bounds.summarize_channel(q, MODEL)
 
 
 def _below_unquantized(res):
@@ -86,9 +85,9 @@ def _below_unquantized(res):
 class TestOptimizer:
     @pytest.mark.parametrize("n,paper", [(2, 0.18), (4, 0.36), (8, 0.537)])
     def test_digital_small_alphabets(self, n, paper):
-        res = optimize_quantizer(MODEL, n, DIGITAL, budget=400, nodes=64)
+        res = optimize_quantizer(MODEL, n, DIGITAL, budget=400)
         equiprob = bounds.asymptotic_rate(
-            _summary(make_equiprobable(MODEL, n), 64), DIGITAL)[0]
+            _summary(make_equiprobable(MODEL, n)), DIGITAL)[0]
         assert _below_unquantized(res)
         assert res.rate >= equiprob - 1e-4
         assert res.rate >= paper - 0.005
@@ -97,24 +96,24 @@ class TestOptimizer:
     def test_analog_beats_equiprobable_collapse(self):
         # at 16 levels the equiprobable analog rate collapses to ~0.356;
         # the optimizer must recover a substantially better quantizer
-        res = optimize_quantizer(MODEL, 16, ANALOG, budget=800, nodes=64)
+        res = optimize_quantizer(MODEL, 16, ANALOG, budget=800)
         assert res.rate > 0.55
         assert _below_unquantized(res)
 
     def test_rate_is_the_asymptotic_rate(self):
         # one rate formula: the objective is exactly the public asymptotic
-        # rate (the lower bound for the analog attacker) at the search nodes
-        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
+        # rate (the lower bound for the analog attacker)
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120)
         assert dig.rate == bounds.asymptotic_rate(
-            _summary(dig.quantizer, 64), DIGITAL)[0]
-        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200, nodes=64)
+            _summary(dig.quantizer), DIGITAL)[0]
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200)
         assert ana.rate == bounds.asymptotic_rate(
-            _summary(ana.quantizer, 64), ANALOG)[0]
+            _summary(ana.quantizer), ANALOG)[0]
         assert _below_unquantized(dig) and _below_unquantized(ana)
 
     def test_default_nodes_give_the_public_rate(self):
-        # with no nodes argument the reported rate is read on the same
-        # 128-node cap as summarize_channel's default
+        # the reported rate is read on the same 128-node cap as
+        # summarize_channel's default
         dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60)
         assert dig.rate == bounds.asymptotic_rate(
             bounds.summarize_channel(dig.quantizer), DIGITAL)[0]
@@ -125,10 +124,10 @@ class TestOptimizer:
 
     def test_rate_is_the_public_rate_of_its_summary(self):
         # the result carries the summary its rate is read from: the found
-        # quantizer's, at the result's own node cap
-        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60, nodes=64)
+        # quantizer's, at the default node cap
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60)
         assert dig.summary.quantizer is dig.quantizer
-        assert dig.summary.nodes == 64 and dig.summary.model == MODEL
+        assert dig.summary.nodes == 128 and dig.summary.model == MODEL
         assert dig.rate == bounds.asymptotic_rate(dig.summary, DIGITAL)[0]
         ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
         assert ana.summary.quantizer is ana.quantizer
@@ -136,22 +135,21 @@ class TestOptimizer:
         assert ana.rate == bounds.asymptotic_rate(ana.summary, ANALOG)[0]
 
     def test_budget_accounting(self):
-        res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50, nodes=64)
+        res = optimize_quantizer(MODEL, 4, DIGITAL, budget=50)
         assert res.evaluations >= 4          # at least the start ranking
         assert res.rate > 0.0
         assert _below_unquantized(res)
 
     @pytest.mark.parametrize("levels,budget", [(16, 30), (32, 60), (8, 20)])
     def test_budget_is_a_hard_cap(self, levels, budget):
-        res = optimize_quantizer(MODEL, levels, DIGITAL, budget=budget,
-                                 nodes=64)
+        res = optimize_quantizer(MODEL, levels, DIGITAL, budget=budget)
         assert res.evaluations <= max(budget, 2)
         assert res.budget_exhausted == (res.evaluations >= budget)
         assert _below_unquantized(res)
 
     def test_deterministic(self):
-        a = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
-        b = optimize_quantizer(MODEL, 4, DIGITAL, budget=120, nodes=64)
+        a = optimize_quantizer(MODEL, 4, DIGITAL, budget=120)
+        b = optimize_quantizer(MODEL, 4, DIGITAL, budget=120)
         assert a.rate == b.rate
         assert np.array_equal(a.quantizer.inner_borders,
                               b.quantizer.inner_borders)
@@ -172,12 +170,11 @@ class TestOptimizer:
             optimize_quantizer(MODEL, 4, DIGITAL, budget=0)
 
 
-@pytest.mark.parametrize("nodes,search", [(128, 32), (64, 32), (16, 16)])
-def test_search_runs_on_one_fixed_rule(monkeypatch, nodes, search):
+def test_search_runs_on_one_fixed_rule(monkeypatch):
     # every candidate, the two starts and the equidistant step search
-    # included, is scored on the min(nodes, 32)-node rule: per_w_channels
-    # sees exactly its computed mirror half; only the result's summary goes
-    # through the error-controlled chain capped at `nodes`
+    # included, is scored on the 32-node rule: per_w_channels sees exactly
+    # its 16 computed mirror-half nodes; only the result's summary goes
+    # through the error-controlled chain capped at 128
     calls, phase = [], ["search"]
     real_stack, real_quadrature = channel.per_w_channels, bounds._quadrature
 
@@ -187,14 +184,15 @@ def test_search_runs_on_one_fixed_rule(monkeypatch, nodes, search):
 
     def quadrature_spy(q, model, n):
         phase[0] = "report"
-        assert n == nodes
+        assert n == 128
         return real_quadrature(q, model, n)
 
     monkeypatch.setattr(channel, "per_w_channels", stack_spy)
     monkeypatch.setattr(bounds, "_quadrature", quadrature_spy)
-    res = optimize_quantizer(MODEL, 8, DIGITAL, budget=60, nodes=nodes)
+    res = optimize_quantizer(MODEL, 8, DIGITAL, budget=60)
     searched = [ws for ph, ws in calls if ph == "search"]
     assert len(searched) >= res.evaluations
-    half = unit_interval_rule(search)[0][:search // 2]
+    assert channel._SEARCH_NODES == 32
+    half = unit_interval_rule(32)[0][:16]
     assert all(np.array_equal(ws, half) for ws in searched)
     assert any(ph == "report" for ph, _ in calls)

@@ -89,20 +89,19 @@ class TestMakeQuantizer:
 class TestSummarizeStrategy:
     def test_optimized_is_the_optimizers_summary(self):
         dig = AttackerSpec("digital", p_d=0.18)
-        s = summarize_strategy(MODEL, 4, "optimized", dig, nodes=64)
-        res = optimize_quantizer(MODEL, 4, dig, nodes=64)
-        assert s.quantizer.kind == "optimized" and s.nodes == 64
+        s = summarize_strategy(MODEL, 4, "optimized", dig)
+        res = optimize_quantizer(MODEL, 4, dig)
+        assert s.quantizer.kind == "optimized" and s.nodes == 128
         assert np.array_equal(s.quantizer.inner_borders,
                               res.quantizer.inner_borders)
         assert bounds.asymptotic_rate(s, dig)[0] == res.rate
 
     def test_constructed_strategies_are_summarized_at_nodes(self):
-        s = summarize_strategy(MODEL, 8, "equidistant", nodes=64,
-                               step=1000.0)
-        assert s.quantizer.step == 1000.0 and s.nodes == 64
+        s = summarize_strategy(MODEL, 8, "equidistant", step=1000.0)
+        assert s.quantizer.step == 1000.0 and s.nodes == 128
         ref = bounds.summarize_channel(
-            make_quantizer(MODEL, 8, "equiprobable"), MODEL, nodes=64)
-        s = summarize_strategy(MODEL, 8, "equiprobable", nodes=64)
+            make_quantizer(MODEL, 8, "equiprobable"), MODEL)
+        s = summarize_strategy(MODEL, 8, "equiprobable")
         assert np.array_equal(s.joint, ref.joint) and s.i_cond == ref.i_cond
 
     def test_unknown_strategy_and_missing_attacker(self):
@@ -212,7 +211,7 @@ def test_optimized_rate_cells_reach_published(tid):
 
 def test_optimized_cell_is_the_public_rate_of_its_quantizer():
     # the table takes the optimizer's rate as the cell: it must be the
-    # public rate of the returned quantizer at the table's own node cap
+    # public rate of the returned quantizer at the default node cap
     dig = AttackerSpec("digital", p_d=0.18)
     ana = AttackerSpec("analog", p_d=0.18, p_a=0.36)
     limit = unquantized_rate(MODEL, 0.18)
@@ -221,12 +220,12 @@ def test_optimized_cell_is_the_public_rate_of_its_quantizer():
     cells = {row["levels"]: row["values"][col:col + 2]
              for row in table["rows"]}
     for levels in (4, 8):
-        res = optimize_quantizer(MODEL, levels, dig, nodes=128)
+        res = optimize_quantizer(MODEL, levels, dig)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         assert res.rate == bounds.asymptotic_rate(s, dig)[0]
         # the table's optimized cells are the query answers, unclamped
         assert cells[levels][0] == bounds.asymptotic_rate(res.summary, dig)[0]
-        res = optimize_quantizer(MODEL, levels, ana, nodes=128)
+        res = optimize_quantizer(MODEL, levels, ana)
         s = bounds.summarize_channel(res.quantizer, MODEL, nodes=128)
         lower, upper = bounds.asymptotic_rate(s, ana)
         assert res.rate == lower
