@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,11 +172,14 @@ class TestOptimizer:
             optimize_quantizer(MODEL, 4, DIGITAL, budget=0)
 
 
-def test_search_runs_on_one_fixed_rule(monkeypatch):
+@pytest.mark.parametrize("nodes,search", [(128, 32), (64, 32)])
+def test_search_runs_on_one_fixed_rule(monkeypatch, nodes, search):
     # every candidate, the two starts and the equidistant step search
-    # included, is scored on the 32-node rule: per_w_channels sees exactly
-    # its 16 computed mirror-half nodes; only the result's summary goes
-    # through the error-controlled chain capped at 128
+    # included, is scored on the 32-node rule whatever the cap of the chain
+    # behind the result's summary: per_w_channels sees exactly its 16
+    # computed mirror-half nodes; only the result's summary goes through
+    # the error-controlled chain, capped at `nodes` (the default cap 128,
+    # or 64 when the optimizer's summarize_channel is bound to that cap)
     calls, phase = [], ["search"]
     real_stack, real_quadrature = channel.per_w_channels, bounds._quadrature
 
@@ -184,15 +189,20 @@ def test_search_runs_on_one_fixed_rule(monkeypatch):
 
     def quadrature_spy(q, model, n):
         phase[0] = "report"
-        assert n == 128
+        assert n == nodes
         return real_quadrature(q, model, n)
 
     monkeypatch.setattr(channel, "per_w_channels", stack_spy)
     monkeypatch.setattr(bounds, "_quadrature", quadrature_spy)
+    if nodes != channel._NODE_CAP:
+        monkeypatch.setattr(optimize, "summarize_channel",
+                            functools.partial(bounds.summarize_channel,
+                                              nodes=nodes))
     res = optimize_quantizer(MODEL, 8, DIGITAL, budget=60)
     searched = [ws for ph, ws in calls if ph == "search"]
     assert len(searched) >= res.evaluations
-    assert channel._SEARCH_NODES == 32
-    half = unit_interval_rule(32)[0][:16]
+    assert channel._SEARCH_NODES == search
+    assert res.summary.nodes <= nodes
+    half = unit_interval_rule(search)[0][:search // 2]
     assert all(np.array_equal(ws, half) for ws in searched)
     assert any(ph == "report" for ph, _ in calls)
