@@ -7,9 +7,9 @@ attacker additionally reads the exact secret on cells that survive a larger
 erasure fraction p_a; those views enter the rates only through the moments
 of the averaged channel (`pufsec.bounds`), so no attacker matrix is built.
 
-Gauss-Legendre quadrature over the uniform helper value turns the
-per-helper-value channels into the averaged channel P(S~|S) and the
-conditional mutual information I(S; S~ | W).
+Gauss-Legendre quadrature over the uniform helper value, in panels
+between any MAP switch points, turns the per-helper-value channels into
+the averaged channel P(S~|S) and I(S; S~ | W).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def per_w_channels(q: InputQuantizer, ws, model: PufModel | None = None):
     point is -inf (S = 0 at w = 0) gets a NaN row.  At sigma_n = 0 the
     borders are the sibling points' midpoints and z = +-inf, so the channel
     is the identity (DECISIONS.md, "The noiseless channel").  Every node
-    given is evaluated; `_rule` passes only the mirror half it needs.
+    given is evaluated; `_reduce` passes only the mirror half it needs.
     """
     model = model or q.model
     if model.sigma_p != q.model.sigma_p:    # q's sibling points use q's
@@ -151,9 +151,14 @@ def _mi_per_node(mats, probs):
 
 def _rule(q: InputQuantizer, model: PufModel, nodes: int,
           channel: bool = True):
-    """(averaged channel P(S~|S), I(S; S~ | W)) on the `nodes`-point
-    Gauss-Legendre rule over the uniform helper value; the channel is None
-    unless `channel`.
+    """`_reduce` on the `nodes`-point Gauss-Legendre rule, less the stack."""
+    return _reduce(q, model, *unit_interval_rule(nodes), channel)[:2]
+
+
+def _reduce(q: InputQuantizer, model: PufModel, xs: np.ndarray,
+            wts: np.ndarray, channel: bool = True):
+    """(averaged channel P(S~|S), I(S; S~ | W), computed stack) on the rule
+    with nodes xs and weights wts; the channel is None unless `channel`.
 
     On a mirror-symmetric quantizer (`_mirror_half`) only the leading half
     of the stack is computed; this is the one place the fold is decided,
@@ -163,7 +168,6 @@ def _rule(q: InputQuantizer, model: PufModel, nodes: int,
     so the averaged channel adds the reversed reduction of the mirrored
     weights.
     """
-    xs, wts = unit_interval_rule(nodes)
     half = _mirror_half(q, xs)
     mats = per_w_channels(q, xs[:half], model)
     mirror = wts[half:][::-1]           # weights of node K-1-k, k < K - half
@@ -171,10 +175,50 @@ def _rule(q: InputQuantizer, model: PufModel, nodes: int,
     folded[:len(mirror)] += mirror
     mi = float(folded @ _mi_per_node(mats, q.probs))
     if not channel:
-        return None, mi
+        return None, mi, mats
     p = np.tensordot(wts[:half], mats, axes=1)
     p += np.tensordot(mirror, mats[:len(mirror)], axes=1)[::-1, ::-1]
-    return p, mi
+    return p, mi, mats
+
+
+def _panel_rule(switch, m: int):
+    """m-point Gauss-Legendre panels between consecutive points of 0, switch,
+    1; on symmetric points the upper nodes are 1 - w, for `_mirror_half`."""
+    t, u = unit_interval_rule(m)
+    edges = np.concatenate(([0.0], switch, [1.0]))
+    width = np.diff(edges)[:, None]
+    xs, wts = (edges[:-1, None] + width * t).ravel(), (width * u).ravel()
+    if np.all(edges + edges[::-1] == 1.0):
+        xs[len(xs) // 2:] = 1.0 - xs[:len(xs) // 2][::-1]
+    return xs, wts
+
+
+def _switch_points(q: InputQuantizer, model: PufModel, xs: np.ndarray,
+                   mats: np.ndarray, nodes: int) -> np.ndarray:
+    """Helper values where the set of dominated levels (b_t == b_{t+1}, so
+    an exactly zero column of the stack `mats`) changes between consecutive
+    computed nodes xs, bisected on the MAP borders; none when two composite
+    rules on them do not fit in `nodes`.  On a mirror half, the set at
+    w = 1/2 is its own mirror image, and each point w found adds 1 - w."""
+    dominated = ~np.any(mats, axis=1)                   # (K, N)
+    if not dominated.any():             # no level dominated at any node
+        return np.empty(0)
+    mirrored = len(mats) < len(xs)
+    if mirrored:
+        xs = np.append(xs[:len(mats)], 0.5)
+        dominated = np.vstack((dominated, dominated[-1, ::-1]))
+    k = np.flatnonzero(np.any(dominated[1:] != dominated[:-1], axis=1))
+    if not k.size or (
+            (1 + mirrored) * len(k) + 1) * 2 * _PANEL_ORDER > nodes:
+        return np.empty(0)
+    lo, hi, pattern = xs[k], xs[k + 1], dominated[k]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        b = _decision_borders(q, sibling_points(q, mid), model.sigma_n)
+        same = np.all((b[:, 1:] == b[:, :-1]) == pattern, axis=1)
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    s = 0.5 * (lo + hi)
+    return np.concatenate((s, 1.0 - s[::-1])) if mirrored else s
 
 
 # The error-controlled chain stops at the first rule within both
@@ -187,6 +231,9 @@ _MI_TOL = 1e-12
 _SEARCH_NODES = 32
 # The cap of the chain behind every summary, query and table.
 _NODE_CAP = 128
+# The first composite rule's nodes per panel, and bisections per switch point.
+_PANEL_ORDER = 8
+_BISECTIONS = 40
 
 
 def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
@@ -195,31 +242,45 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
 
     Each rule is checked against the one before it; the first rule k with
     max|P_k - P_{k/2}| <= _CHANNEL_TOL and |I_k - I_{k/2}| <= _MI_TOL, or
-    else the `nodes` rule, is reported.  Below 32 nodes the chain is the
+    else the last rule, is reported.  Below 32 nodes the chain is the
     `nodes` rule alone, checked against the `nodes // 2` rule.  The two
     differences, recorded in the channel's metadata with the node count
     used, estimate the error of the half rule, an upper estimate for the
     reported one.  The channel is flagged (`quadrature_warning`) when its
     difference exceeds 1e-6 or either difference is not finite.
+
+    Where the first rule's stack has switch points (kinks), the chain runs
+    on `_panel_rule`'s composite rules between them instead (DECISIONS.md,
+    "Panels at the MAP switch points").
     """
     if nodes < 16:
         raise DomainError(f"nodes must be >= 16, got {nodes}")
     chain = [nodes]
     while chain[0] >= 32 or len(chain) == 1:
         chain.insert(0, chain[0] // 2)
-    # one stack at a time: each is dropped once it is reduced
-    p, mi = _rule(q, model, chain[0])
-    for k in chain[1:]:
+    # rules are built as reached; one stack at a time, dropped once reduced
+    rules = map(unit_interval_rule, chain)
+    xs, wts = next(rules)
+    p, mi, mats = _reduce(q, model, xs, wts)
+    switch = _switch_points(q, model, xs, mats, nodes)
+    del mats
+    if len(switch):
+        orders = (_PANEL_ORDER << i for i in range(int(nodes).bit_length()))
+        rules = (_panel_rule(switch, m) for m in orders
+                 if m * (len(switch) + 1) <= nodes)
+        p, mi = _reduce(q, model, *next(rules))[:2]
+    for xs, wts in rules:
         p_half, mi_half = p, mi
-        p, mi = _rule(q, model, k)
+        p, mi = _reduce(q, model, xs, wts)[:2]
         delta = float(np.max(np.abs(p - p_half)))
         mi_delta = abs(mi - mi_half)
         if delta <= _CHANNEL_TOL and mi_delta <= _MI_TOL:
             break
-    meta = {"nodes": nodes, "nodes_used": k, "refinement_delta": delta,
+    meta = {"nodes": nodes, "nodes_used": len(xs), "refinement_delta": delta,
             "quadrature_warning": not (delta <= 1e-6
                                        and np.isfinite(mi_delta)),
-            "mi_refinement_delta": mi_delta}
+            "mi_refinement_delta": mi_delta,
+            "switch_points": switch.tolist()}
     return ChannelMatrix(p, metadata=meta), mi
 
 

@@ -47,6 +47,11 @@ def _attacker(kind, p_d, p_a):
     return AttackerSpec(kind, p_d=p_d, p_a=p_a)
 
 
+def _erasure_fields(att: AttackerSpec) -> dict:
+    """Record fields of the erased fractions: p_d, then the analog p_a."""
+    return {"p_d": att.p_d, **({} if att.p_a is None else {"p_a": att.p_a})}
+
+
 def _quadrature_fields(summary) -> dict:
     """Record fields of a channel summary's quadrature diagnostics."""
     m = summary.metadata
@@ -138,12 +143,12 @@ def rate(ctx, attacker, p_d, p_a, levels, strategy, step):
     s = tables.summarize_strategy(_model(ctx), levels, strategy, att,
                                   step=step)
     record = {"attacker": attacker, "levels": levels,
-              "strategy": strategy, "p_d": p_d}
+              "strategy": strategy, **_erasure_fields(att)}
     lo, hi = bounds.asymptotic_rate(s, att)
     if attacker == "digital":
         record["rate"] = lo
     else:
-        record.update({"p_a": p_a, "rate_lower": lo, "rate_upper": hi})
+        record.update({"rate_lower": lo, "rate_upper": hi})
     record.update(_quadrature_fields(s))
     _emit(ctx, _render_record(ctx, record))
 
@@ -177,10 +182,8 @@ def cells(ctx, attacker, p_d, p_a, levels, strategy, step, eps, security,
     ach = bounds.min_cells(query, "achievability", cap, summary=summary)
     conv = bounds.min_cells(query, "converse", cap, summary=summary)
     record = {"attacker": attacker, "levels": levels, "strategy": strategy,
-              "p_d": p_d, "epsilon": eps, "security_bits": security,
-              "cells_ach": ach, "cells_conv": conv}
-    if attacker == "analog":
-        record["p_a"] = p_a
+              **_erasure_fields(att), "epsilon": eps,
+              "security_bits": security, "cells_ach": ach, "cells_conv": conv}
     record.update(_quadrature_fields(summary))
     _emit(ctx, _render_record(ctx, record, cap))
 
@@ -245,12 +248,10 @@ def audit(ctx, n, levels, strategy, attacker, p_d, p_a, eps, security):
     conv = bounds.min_cells(query, "converse", cap, summary=summary)
     feasible = conv is not None and n >= conv
     record = {"cells": n, "levels": levels, "strategy": strategy,
-              "attacker": attacker, "p_d": p_d, "epsilon": eps,
+              "attacker": attacker, **_erasure_fields(att), "epsilon": eps,
               "security_bits": security, "converse_min_cells": conv,
               "gap": None if conv is None else n - conv,
               "verdict": "FEASIBLE" if feasible else "INFEASIBLE"}
-    if attacker == "analog":
-        record["p_a"] = p_a
     record.update(_quadrature_fields(summary))
     _emit(ctx, _render_record(ctx, record, cap))
     if not feasible:
@@ -308,12 +309,10 @@ def optimize_cmd(ctx, attacker, p_d, p_a, levels, budget):
     att = _attacker(attacker, p_d, p_a)
     res = opt_mod.optimize_quantizer(
         model=_model(ctx), levels=levels, objective=att, budget=budget)
-    record = {"attacker": attacker, "levels": levels, "p_d": p_d,
+    record = {"attacker": attacker, "levels": levels, **_erasure_fields(att),
               "rate": res.rate, "evaluations": res.evaluations,
               "budget_exhausted": res.budget_exhausted,
               "quantizer": res.quantizer.to_dict()}
-    if attacker == "analog":
-        record["p_a"] = p_a
     _emit_json(ctx, record)
 
 

@@ -24,7 +24,8 @@ from blockpool import (pooled_crowded_inline, spy_public_calls,
                        spy_threads)
 from oracles import (analog_triple, decision_intervals, dense_mi_per_node,
                      dense_per_w_channels, erasure_joint, oracle_channel,
-                     oracle_output_quantizer)
+                     oracle_output_quantizer, quad_vec_summary,
+                     scan_switch_points)
 
 MODEL = PufModel(2241.0, 129.0)
 
@@ -417,25 +418,45 @@ class TestQuadrature:
     def assert_summary_is_the_stack(q, nodes=128):
         s = bounds.summarize_channel(q, nodes=nodes)
         k = s.metadata["nodes_used"]
-        p, mi = channel._rule(q, q.model, k)
-        p_half, mi_half = channel._rule(q, q.model, k // 2)
+        switch = np.array(s.metadata["switch_points"])
+        if switch.size:
+            # the composite rules: one panel between consecutive switch
+            # points, k // panels nodes each; the first checked has 16
+            panels = len(switch) + 1
+
+            def rule(k):
+                return channel._panel_rule(switch, k // panels)
+
+            def reduce(k, **kw):
+                return channel._reduce(q, q.model, *rule(k), **kw)[:2]
+
+            first = 2 * channel._PANEL_ORDER * panels
+        else:
+            rule, first = unit_interval_rule, 32
+
+            def reduce(k, **kw):
+                return channel._rule(q, q.model, k, **kw)
+
+        p, mi = reduce(k)
+        p_half, mi_half = reduce(k // 2)
         assert np.array_equal(s.joint,
                               np.clip(q.probs[:, None] * p, 0.0, None))
-        assert s.i_cond == mi == _rule(q, q.model, k, channel=False)[1]
+        assert s.i_cond == mi == reduce(k, channel=False)[1]
         assert s.metadata["refinement_delta"] == np.max(np.abs(p - p_half))
         assert s.metadata["mi_refinement_delta"] == abs(mi - mi_half)
         # the folded reduction is the full stack's, up to rounding
-        xs, wts = unit_interval_rule(k)
+        xs, wts = rule(k)
         full = np.tensordot(wts, per_w_channels(q, xs), axes=1)
         assert np.max(np.abs(p - full)) <= 1e-15
-        # k is the first rule of the chain that meets both tolerances
+        # k is the first rule of the chain that meets both tolerances, or
+        # its last: the cap, or on panels the last rule within the cap
         converged = (s.metadata["refinement_delta"] <= channel._CHANNEL_TOL
                      and s.metadata["mi_refinement_delta"] <= channel._MI_TOL)
-        assert converged or k == nodes
+        assert converged or (2 * k > nodes if switch.size else k == nodes)
         j = k // 2
-        while j >= 32:      # the earlier candidates in the chain
-            pj, mij = channel._rule(q, q.model, j)
-            pj2, mij2 = channel._rule(q, q.model, j // 2)
+        while j >= first:      # the earlier candidates in the chain
+            pj, mij = reduce(j)
+            pj2, mij2 = reduce(j // 2)
             assert (np.max(np.abs(pj - pj2)) > channel._CHANNEL_TOL
                     or abs(mij - mij2) > channel._MI_TOL)
             j //= 2
@@ -443,24 +464,80 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
     def test_table_summaries_are_the_stack_to_the_bit(self, strategy):
-        # only equidistant N = 256 is flagged and runs the whole chain, from
-        # the kinks where merging switches on or off; every other table
-        # quantizer converges at the first candidate (DECISIONS.md,
-        # "Error-controlled node count")
+        # only equidistant N = 256 has switch points, where merging switches
+        # on or off; its chain runs on five panels and converges at 16 nodes
+        # each, every other table quantizer at the first candidate rule
+        # (DECISIONS.md, "Panels at the MAP switch points")
         for levels in (2, 4, 8, 16, 32, 64, 128, 256):
             q = _table_quantizer(strategy, levels)
             s = self.assert_summary_is_the_stack(q)
-            flagged = strategy == "equidistant" and levels == 256
-            assert s.metadata["quadrature_warning"] == flagged
-            assert s.metadata["nodes_used"] == (128 if flagged else 32)
-            # second route: the single 128-node rule the chain replaced
-            p, mi = channel._rule(q, q.model, 128)
+            paneled = strategy == "equidistant" and levels == 256
+            assert not s.metadata["quadrature_warning"]
+            assert len(s.metadata["switch_points"]) == (4 if paneled else 0)
+            assert s.metadata["nodes_used"] == (80 if paneled else 32)
+            if paneled:     # second route: the adaptive quad_vec reference
+                joint, mi, err = quad_vec_summary(q)
+                assert err <= 1e-14
+            else:           # second route: the single 128-node rule
+                p, mi = channel._rule(q, q.model, 128)
+                joint = q.probs[:, None] * p
             assert abs(s.i_cond - mi) <= 1e-12
-            assert np.max(np.abs(s.joint - q.probs[:, None] * p)) <= 1e-12
+            assert np.max(np.abs(s.joint - joint)) <= 1e-12
 
     def test_optimizer_candidates_are_the_stack_to_the_bit(self):
         for seed in range(6):
             self.assert_summary_is_the_stack(_optimizer_candidate(seed))
+
+    # (levels, sigma_N) of equidistant quantizers with switch points, and
+    # how many each has
+    SWITCHED = {(256, 129.0): 4, (200, 129.0): 2, (256, 60.0): 2,
+                (64, 400.0): 2}
+
+    @pytest.mark.parametrize("levels, sigma_n", SWITCHED)
+    def test_panels_match_quad_vec(self, levels, sigma_n):
+        q = make_quantizer(PufModel(2241.0, sigma_n), levels, "equidistant")
+        s = bounds.summarize_channel(q)
+        switch = np.array(s.metadata["switch_points"])
+        scanned = scan_switch_points(q)
+        assert len(switch) == len(scanned) == self.SWITCHED[levels, sigma_n]
+        # the bisected points lie in the scan's brackets, half a step wide
+        assert np.max(np.abs(switch - scanned)) <= 0.5 / 4001
+        assert not s.metadata["quadrature_warning"]
+        joint, mi, err = quad_vec_summary(q)
+        assert err <= 1e-14
+        assert abs(s.i_cond - mi) <= 1e-12
+        assert np.max(np.abs(s.joint - joint)) <= 1e-12
+
+    def test_panel_stacks_are_their_mirror_half(self, monkeypatch):
+        # the probe, the 8-node and the 16-node panel rules of equidistant
+        # N = 256, each computed on its mirror half only
+        q = _table_quantizer("equidistant", 256)
+        calls = []
+        real = channel.per_w_channels
+
+        def spy(q, ws, model=None):
+            calls.append(ws)
+            return real(q, ws, model)
+
+        monkeypatch.setattr(channel, "per_w_channels", spy)
+        s = bounds.summarize_channel(q)
+        switch = s.metadata["switch_points"]
+        rules = [unit_interval_rule(16)] + [channel._panel_rule(switch, m)
+                                            for m in (8, 16)]
+        assert len(calls) == len(rules)
+        for ws, (xs, _) in zip(calls, rules):
+            assert _mirror_half(q, xs) == len(xs) // 2
+            assert np.array_equal(ws, xs[:len(xs) // 2])
+
+    def test_panels_need_two_rules_under_the_cap(self):
+        # below 32 nodes two rules of 5 panels do not fit: the chain is the
+        # Gauss-Legendre one, flagged as before
+        q = _table_quantizer("equidistant", 256)
+        for nodes in (16, 31):
+            s = self.assert_summary_is_the_stack(q, nodes)
+            assert s.metadata["switch_points"] == []
+            assert s.metadata["nodes_used"] == nodes
+            assert s.metadata["quadrature_warning"]
 
 
 class TestAttackerSpec:

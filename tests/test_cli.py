@@ -196,6 +196,23 @@ def test_analog_record_carries_pa(runner, command):
     assert json.loads(res.output)["p_a"] == 0.36
 
 
+def test_analog_csv_headers_share_the_leading_order(runner):
+    # levels, strategy, p_d and p_a in one order in rate, cells and audit,
+    # with p_a right after p_d; the quadrature fields close each record
+    extra = {"rate": [], "cells": ["--security", "128"],
+             "audit": ["--cells", "500"]}
+    common = ["levels", "strategy", "p_d", "p_a"]
+    for command, args in extra.items():
+        res = run(runner, "--format", "csv", command, "--attacker", "analog",
+                  "--pd", "0.18", "--pa", "0.36", "--levels", "4", *args)
+        assert res.exit_code in (0, 1)
+        header = res.output.splitlines()[0].split(",")
+        assert [k for k in header if k in common] == common
+        assert header.index("p_a") == header.index("p_d") + 1
+        assert header[-4:] == ["quadrature_delta", "quadrature_mi_delta",
+                               "quadrature_nodes", "quadrature_warning"]
+
+
 _CELLS = ["cells", "--attacker", "digital", "--pd", "0.18", "--security",
           "128"]
 
@@ -228,8 +245,7 @@ QUERIES = {
 
 
 @pytest.mark.parametrize("args", QUERIES.values(), ids=QUERIES)
-def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
-                                                    args):
+def test_summary_at_the_cap_and_delta_reported(runner, monkeypatch, args):
     # every summary the command builds: min_cells takes this one
     summaries = []
     real = bounds.summarize_channel
@@ -254,17 +270,18 @@ def test_summary_at_global_nodes_and_delta_reported(runner, monkeypatch,
 
 @pytest.mark.parametrize("args,nodes,warning", [
     *((a, 32, False) for a in QUERIES.values()),
-    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 128,
-     True),
+    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 80,
+     False),
     (["cells", "--strategy", "equidistant", "--step", "10", "--levels", "64",
       "--attacker", "analog", "--pd", "0.18", "--pa", "0.36", "--security",
       "128"], 128, True),
-], ids=[*QUERIES, "rate-flagged", "cells-flagged"])
+], ids=[*QUERIES, "rate-paneled", "cells-flagged"])
 def test_quadrature_nodes_reported(runner, args, nodes, warning):
     # equiprobable N = 8 converges at 32 of the default 128 nodes, far
-    # inside the 1e-6 flag; equidistant N = 256 and the 10-wide equidistant
-    # N = 64 never converge, run the whole chain and end it above the flag
-    # (channel deltas of about 3.5e-5 and 2.3e-4)
+    # inside the 1e-6 flag; equidistant N = 256 converges on five panels
+    # between its four MAP switch points, 16 nodes each; the 10-wide
+    # equidistant N = 64 switches too often for panels to fit the cap, runs
+    # the whole chain and ends it above the flag (channel delta 2.3e-4)
     res = run(runner, "--format", "json", *args)
     assert res.exit_code in (0, 1)
     record = json.loads(res.output)

@@ -96,7 +96,7 @@ class TestSummarizeStrategy:
                               res.quantizer.inner_borders)
         assert bounds.asymptotic_rate(s, dig)[0] == res.rate
 
-    def test_constructed_strategies_are_summarized_at_nodes(self):
+    def test_constructed_strategies_are_summarized_at_the_cap(self):
         s = summarize_strategy(MODEL, 8, "equidistant", step=1000.0)
         assert s.quantizer.step == 1000.0 and s.nodes == 128
         ref = bounds.summarize_channel(
