@@ -104,13 +104,25 @@ class TestOptimizer:
 
     def test_rate_is_the_asymptotic_rate(self):
         # one rate formula: the objective is exactly the public asymptotic
-        # rate (the lower bound for the analog attacker) of the found
-        # quantizer's default summary, at the 128-node cap
-        for levels, attacker, budget in ((4, DIGITAL, 120), (8, ANALOG, 200)):
-            res = optimize_quantizer(MODEL, levels, attacker, budget=budget)
-            assert res.rate == bounds.asymptotic_rate(
-                bounds.summarize_channel(res.quantizer), attacker)[0]
-            assert _below_unquantized(res)
+        # rate (the lower bound for the analog attacker)
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=120)
+        assert dig.rate == bounds.asymptotic_rate(
+            _summary(dig.quantizer), DIGITAL)[0]
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=200)
+        assert ana.rate == bounds.asymptotic_rate(
+            _summary(ana.quantizer), ANALOG)[0]
+        assert _below_unquantized(dig) and _below_unquantized(ana)
+
+    def test_default_nodes_give_the_public_rate(self):
+        # the reported rate is read on the same 128-node cap as
+        # summarize_channel's default
+        dig = optimize_quantizer(MODEL, 4, DIGITAL, budget=60)
+        assert dig.rate == bounds.asymptotic_rate(
+            bounds.summarize_channel(dig.quantizer), DIGITAL)[0]
+        ana = optimize_quantizer(MODEL, 8, ANALOG, budget=60)
+        assert ana.rate == bounds.asymptotic_rate(
+            bounds.summarize_channel(ana.quantizer), ANALOG)[0]
+        assert _below_unquantized(dig) and _below_unquantized(ana)
 
     def test_rate_is_the_public_rate_of_its_summary(self):
         # the result carries the summary its rate is read from: the found
