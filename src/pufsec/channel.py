@@ -183,23 +183,27 @@ def _reduce(q: InputQuantizer, model: PufModel, xs: np.ndarray,
 
 def _panel_rule(switch, m: int):
     """m-point Gauss-Legendre panels between consecutive points of 0, switch,
-    1; on symmetric points the upper nodes are 1 - w, for `_mirror_half`."""
+    1, or the cached m-point rule; on symmetric points the upper nodes are
+    1 - w and an odd rule's middle node is 1/2, for `_mirror_half`."""
+    if not len(switch):
+        return unit_interval_rule(m)
     t, u = unit_interval_rule(m)
     edges = np.concatenate(([0.0], switch, [1.0]))
     width = np.diff(edges)[:, None]
     xs, wts = (edges[:-1, None] + width * t).ravel(), (width * u).ravel()
     if np.all(edges + edges[::-1] == 1.0):
-        xs[len(xs) // 2:] = 1.0 - xs[:len(xs) // 2][::-1]
+        h = len(xs) // 2
+        xs[-h:], xs[h:-h] = 1.0 - xs[:h][::-1], 0.5
     return xs, wts
 
 
 def _switch_points(q: InputQuantizer, model: PufModel, xs: np.ndarray,
-                   mats: np.ndarray, nodes: int) -> np.ndarray:
+                   mats: np.ndarray) -> np.ndarray:
     """Helper values where the set of dominated levels (b_t == b_{t+1}, so
     an exactly zero column of the stack `mats`) changes between consecutive
-    computed nodes xs, bisected on the MAP borders; none when two composite
-    rules on them do not fit in `nodes`.  On a mirror half, the set at
-    w = 1/2 is its own mirror image, and each point w found adds 1 - w."""
+    computed nodes xs, bisected on the MAP borders.  On a mirror half, the
+    set at w = 1/2 is its own mirror image, and each point w found adds
+    1 - w."""
     dominated = ~np.any(mats, axis=1)                   # (K, N)
     if not dominated.any():             # no level dominated at any node
         return np.empty(0)
@@ -208,8 +212,7 @@ def _switch_points(q: InputQuantizer, model: PufModel, xs: np.ndarray,
         xs = np.append(xs[:len(mats)], 0.5)
         dominated = np.vstack((dominated, dominated[-1, ::-1]))
     k = np.flatnonzero(np.any(dominated[1:] != dominated[:-1], axis=1))
-    if not k.size or (
-            (1 + mirrored) * len(k) + 1) * 2 * _PANEL_ORDER > nodes:
+    if not k.size:
         return np.empty(0)
     lo, hi, pattern = xs[k], xs[k + 1], dominated[k]
     for _ in range(_BISECTIONS):
@@ -231,8 +234,7 @@ _MI_TOL = 1e-12
 _SEARCH_NODES = 32
 # The cap of the chain behind every summary, query and table.
 _NODE_CAP = 128
-# The first composite rule's nodes per panel, and bisections per switch point.
-_PANEL_ORDER = 8
+# Bisections per switch point.
 _BISECTIONS = 40
 
 
@@ -240,8 +242,8 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
     """(averaged channel P(S~|S), I(S; S~ | W)) by a doubling chain of
     Gauss-Legendre rules that ends at `nodes`, e.g. 16, 32, 64, 128.
 
-    Each rule is checked against the one before it; the first rule k with
-    max|P_k - P_{k/2}| <= _CHANNEL_TOL and |I_k - I_{k/2}| <= _MI_TOL, or
+    Each rule is checked against the one before it; the first rule with
+    max|P - P_before| <= _CHANNEL_TOL and |I - I_before| <= _MI_TOL, or
     else the last rule, is reported.  Below 32 nodes the chain is the
     `nodes` rule alone, checked against the `nodes // 2` rule.  The two
     differences, recorded in the channel's metadata with the node count
@@ -249,28 +251,22 @@ def _quadrature(q: InputQuantizer, model: PufModel, nodes: int):
     reported one.  The channel is flagged (`quadrature_warning`) when its
     difference exceeds 1e-6 or either difference is not finite.
 
-    Where the first rule's stack has switch points (kinks), the chain runs
-    on `_panel_rule`'s composite rules between them instead (DECISIONS.md,
-    "Panels at the MAP switch points").
+    Where the first rule's stack has switch points (kinks), each later rule
+    of k nodes is `_panel_rule`'s, k // panels nodes on each panel between
+    them (DECISIONS.md, "Panels at the MAP switch points").
     """
     if nodes < 16:
         raise DomainError(f"nodes must be >= 16, got {nodes}")
     chain = [nodes]
     while chain[0] >= 32 or len(chain) == 1:
         chain.insert(0, chain[0] // 2)
-    # rules are built as reached; one stack at a time, dropped once reduced
-    rules = map(unit_interval_rule, chain)
-    xs, wts = next(rules)
+    xs, wts = unit_interval_rule(chain[0])
     p, mi, mats = _reduce(q, model, xs, wts)
-    switch = _switch_points(q, model, xs, mats, nodes)
-    del mats
-    if len(switch):
-        orders = (_PANEL_ORDER << i for i in range(int(nodes).bit_length()))
-        rules = (_panel_rule(switch, m) for m in orders
-                 if m * (len(switch) + 1) <= nodes)
-        p, mi = _reduce(q, model, *next(rules))[:2]
-    for xs, wts in rules:
+    switch = _switch_points(q, model, xs, mats)
+    del mats            # one stack at a time, dropped once reduced
+    for k in chain[1:]:
         p_half, mi_half = p, mi
+        xs, wts = _panel_rule(switch, k // (len(switch) + 1))
         p, mi = _reduce(q, model, xs, wts)[:2]
         delta = float(np.max(np.abs(p - p_half)))
         mi_delta = abs(mi - mi_half)

@@ -30,10 +30,13 @@ class PufModel:
         if not (math.isfinite(self.sigma_p) and self.sigma_p > 0):
             raise DomainError(
                 f"sigma_p must be finite and positive, got {self.sigma_p!r}")
-        # sigma_n = 0 (noiseless reconstruction) is a legal degenerate case
-        if not (math.isfinite(self.sigma_n) and self.sigma_n >= 0):
+        # sigma_n = 0 (noiseless reconstruction) is a legal degenerate case;
+        # the MAP borders and the Monte-Carlo oracle take sigma_n ** 2
+        if not (self.sigma_n >= 0
+                and math.isfinite(self.sigma_n * self.sigma_n)):
             raise DomainError(
-                f"sigma_n must be finite and nonnegative, got {self.sigma_n!r}")
+                f"sigma_n must be nonnegative with a finite square, "
+                f"got {self.sigma_n!r}")
 
 
 def q_inverse(p=None, *, log2_p=None):
@@ -62,8 +65,8 @@ def q_inverse(p=None, *, log2_p=None):
 @functools.lru_cache(maxsize=32)
 def unit_interval_rule(nodes: int):
     """Gauss-Legendre nodes/weights mapped onto [0, 1]."""
-    if nodes < 2:
-        raise DomainError(f"need at least 2 quadrature nodes, got {nodes}")
+    if nodes < 1:
+        raise DomainError(f"need at least 1 quadrature node, got {nodes}")
     t, w = np.polynomial.legendre.leggauss(nodes)
     return (t + 1.0) / 2.0, w / 2.0
 

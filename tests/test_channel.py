@@ -417,55 +417,47 @@ class TestQuadrature:
     @staticmethod
     def assert_summary_is_the_stack(q, nodes=128):
         s = bounds.summarize_channel(q, nodes=nodes)
-        k = s.metadata["nodes_used"]
         switch = np.array(s.metadata["switch_points"])
-        if switch.size:
-            # the composite rules: one panel between consecutive switch
-            # points, k // panels nodes each; the first checked has 16
-            panels = len(switch) + 1
+        # the chain: the Gauss-Legendre probe whose stack gives the switch
+        # points, then each k of the doubling chain as one panel between
+        # consecutive switch points, k // panels nodes each
+        chain = [nodes]
+        while chain[0] >= 32 or len(chain) == 1:
+            chain.insert(0, chain[0] // 2)
+        rules = [unit_interval_rule(chain[0])] + [
+            channel._panel_rule(switch, k // (len(switch) + 1))
+            for k in chain[1:]]
 
-            def rule(k):
-                return channel._panel_rule(switch, k // panels)
+        def reduce(i, **kw):
+            return channel._reduce(q, q.model, *rules[i], **kw)[:2]
 
-            def reduce(k, **kw):
-                return channel._reduce(q, q.model, *rule(k), **kw)[:2]
-
-            first = 2 * channel._PANEL_ORDER * panels
-        else:
-            rule, first = unit_interval_rule, 32
-
-            def reduce(k, **kw):
-                return channel._rule(q, q.model, k, **kw)
-
-        p, mi = reduce(k)
-        p_half, mi_half = reduce(k // 2)
+        sizes = [len(xs) for xs, _ in rules]
+        i = 1 + sizes[1:].index(s.metadata["nodes_used"])
+        (p, mi), (p_half, mi_half) = reduce(i), reduce(i - 1)
         assert np.array_equal(s.joint,
                               np.clip(q.probs[:, None] * p, 0.0, None))
-        assert s.i_cond == mi == reduce(k, channel=False)[1]
+        assert s.i_cond == mi == reduce(i, channel=False)[1]
         assert s.metadata["refinement_delta"] == np.max(np.abs(p - p_half))
         assert s.metadata["mi_refinement_delta"] == abs(mi - mi_half)
         # the folded reduction is the full stack's, up to rounding
-        xs, wts = rule(k)
+        xs, wts = rules[i]
         full = np.tensordot(wts, per_w_channels(q, xs), axes=1)
         assert np.max(np.abs(p - full)) <= 1e-15
-        # k is the first rule of the chain that meets both tolerances, or
-        # its last: the cap, or on panels the last rule within the cap
+        # rule i is the first of the chain that meets both tolerances
+        # against the rule before it, or the last
         converged = (s.metadata["refinement_delta"] <= channel._CHANNEL_TOL
                      and s.metadata["mi_refinement_delta"] <= channel._MI_TOL)
-        assert converged or (2 * k > nodes if switch.size else k == nodes)
-        j = k // 2
-        while j >= first:      # the earlier candidates in the chain
-            pj, mij = reduce(j)
-            pj2, mij2 = reduce(j // 2)
+        assert converged or i == len(rules) - 1
+        for j in range(1, i):      # the earlier candidates in the chain
+            (pj, mij), (pj2, mij2) = reduce(j), reduce(j - 1)
             assert (np.max(np.abs(pj - pj2)) > channel._CHANNEL_TOL
                     or abs(mij - mij2) > channel._MI_TOL)
-            j //= 2
         return s
 
     @pytest.mark.parametrize("strategy", ("equiprobable", "equidistant"))
     def test_table_summaries_are_the_stack_to_the_bit(self, strategy):
         # only equidistant N = 256 has switch points, where merging switches
-        # on or off; its chain runs on five panels and converges at 16 nodes
+        # on or off; its chain runs on five panels and converges at 12 nodes
         # each, every other table quantizer at the first candidate rule
         # (DECISIONS.md, "Panels at the MAP switch points")
         for levels in (2, 4, 8, 16, 32, 64, 128, 256):
@@ -474,7 +466,7 @@ class TestQuadrature:
             paneled = strategy == "equidistant" and levels == 256
             assert not s.metadata["quadrature_warning"]
             assert len(s.metadata["switch_points"]) == (4 if paneled else 0)
-            assert s.metadata["nodes_used"] == (80 if paneled else 32)
+            assert s.metadata["nodes_used"] == (60 if paneled else 32)
             if paneled:     # second route: the adaptive quad_vec reference
                 joint, mi, err = quad_vec_summary(q)
                 assert err <= 1e-14
@@ -485,23 +477,33 @@ class TestQuadrature:
             assert np.max(np.abs(s.joint - joint)) <= 1e-12
 
     def test_optimizer_candidates_are_the_stack_to_the_bit(self):
+        # the probe finds switch points on five of the six: candidates 4
+        # and 5 have 8 and 12, and none ends flagged
+        counts = []
         for seed in range(6):
-            self.assert_summary_is_the_stack(_optimizer_candidate(seed))
+            s = self.assert_summary_is_the_stack(_optimizer_candidate(seed))
+            assert not s.metadata["quadrature_warning"]
+            counts.append(len(s.metadata["switch_points"]))
+        assert counts == [4, 0, 6, 6, 8, 12]
 
-    # (levels, sigma_N) of equidistant quantizers with switch points, and
-    # how many each has
+    # quantizers with switch points, and how many each has: equidistant
+    # N at sigma_N, and two seeded optimizer candidates
     SWITCHED = {(256, 129.0): 4, (200, 129.0): 2, (256, 60.0): 2,
-                (64, 400.0): 2}
+                (64, 400.0): 2, ("candidate", 4): 8, ("candidate", 5): 12}
 
-    @pytest.mark.parametrize("levels, sigma_n", SWITCHED)
-    def test_panels_match_quad_vec(self, levels, sigma_n):
-        q = make_quantizer(PufModel(2241.0, sigma_n), levels, "equidistant")
+    @pytest.mark.parametrize("key", SWITCHED,
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_panels_match_quad_vec(self, key):
+        levels, arg = key
+        q = (_optimizer_candidate(arg) if levels == "candidate" else
+             make_quantizer(PufModel(2241.0, arg), levels, "equidistant"))
         s = bounds.summarize_channel(q)
         switch = np.array(s.metadata["switch_points"])
         scanned = scan_switch_points(q)
-        assert len(switch) == len(scanned) == self.SWITCHED[levels, sigma_n]
-        # the bisected points lie in the scan's brackets, half a step wide
-        assert np.max(np.abs(switch - scanned)) <= 0.5 / 4001
+        assert len(switch) == len(scanned) == self.SWITCHED[key]
+        # both bisect the same kinks, from brackets of the probe and of
+        # the scan
+        assert np.max(np.abs(switch - scanned)) <= 1e-12
         assert not s.metadata["quadrature_warning"]
         joint, mi, err = quad_vec_summary(q)
         assert err <= 1e-14
@@ -509,7 +511,7 @@ class TestQuadrature:
         assert np.max(np.abs(s.joint - joint)) <= 1e-12
 
     def test_panel_stacks_are_their_mirror_half(self, monkeypatch):
-        # the probe, the 8-node and the 16-node panel rules of equidistant
+        # the probe and the 6- and 12-node panel rules of equidistant
         # N = 256, each computed on its mirror half only
         q = _table_quantizer("equidistant", 256)
         calls = []
@@ -523,21 +525,44 @@ class TestQuadrature:
         s = bounds.summarize_channel(q)
         switch = s.metadata["switch_points"]
         rules = [unit_interval_rule(16)] + [channel._panel_rule(switch, m)
-                                            for m in (8, 16)]
+                                            for m in (6, 12)]
         assert len(calls) == len(rules)
         for ws, (xs, _) in zip(calls, rules):
-            assert _mirror_half(q, xs) == len(xs) // 2
-            assert np.array_equal(ws, xs[:len(xs) // 2])
+            assert _mirror_half(q, xs) == (len(xs) + 1) // 2
+            assert np.array_equal(ws, xs[:(len(xs) + 1) // 2])
 
-    def test_panels_need_two_rules_under_the_cap(self):
-        # below 32 nodes two rules of 5 panels do not fit: the chain is the
-        # Gauss-Legendre one, flagged as before
+    @pytest.mark.parametrize("m", (1, 3, 7))
+    @pytest.mark.parametrize("switch", ([0.25, 0.75], [0.1, 0.3, 0.7, 0.9]))
+    def test_odd_panel_rules_fold(self, switch, m):
+        # an odd number of panels of odd order: the middle node is exactly
+        # 1/2, so the rule folds, and each panel is its m-point rule
         q = _table_quantizer("equidistant", 256)
-        for nodes in (16, 31):
-            s = self.assert_summary_is_the_stack(q, nodes)
-            assert s.metadata["switch_points"] == []
-            assert s.metadata["nodes_used"] == nodes
-            assert s.metadata["quadrature_warning"]
+        xs, wts = channel._panel_rule(switch, m)
+        k = m * (len(switch) + 1)
+        assert len(xs) == k and k % 2
+        assert _mirror_half(q, xs) == (k + 1) // 2
+        assert xs[k // 2] == 0.5
+        edges = np.concatenate(([0.0], switch, [1.0]))
+        for j, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            panel = slice(j * m, (j + 1) * m)
+            assert np.all((a < xs[panel]) & (xs[panel] < b))
+            d = 2 * m - 1       # the rule's degree of exactness
+            assert wts[panel] @ ((d + 1) * xs[panel] ** d) == pytest.approx(
+                b ** (d + 1) - a ** (d + 1), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("nodes", (16, 31))
+    def test_small_caps_report_their_switch_points(self, nodes):
+        # below 32 nodes the chain is the probe and the cap's rule: on
+        # equidistant N = 256 the probe finds the four switch points of the
+        # full cap, and the cap's rule runs on their five panels, still
+        # above the flag
+        q = _table_quantizer("equidistant", 256)
+        s = self.assert_summary_is_the_stack(q, nodes)
+        full = bounds.summarize_channel(q).metadata["switch_points"]
+        assert np.max(np.abs(np.subtract(s.metadata["switch_points"],
+                                         full))) <= 1e-12
+        assert s.metadata["nodes_used"] == nodes // 5 * 5
+        assert s.metadata["quadrature_warning"]
 
 
 class TestAttackerSpec:

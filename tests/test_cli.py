@@ -77,6 +77,17 @@ def test_bad_pd_pa_is_usage_error(runner, command, kind, p_d, p_a):
     assert "Error:" in res.output
 
 
+@pytest.mark.parametrize("args", (
+    ["rate", "--attacker", "digital", "--pd", "0.18"], ["simulate"]),
+    ids=("rate", "simulate"))
+def test_sigma_n_with_overflowing_square_is_usage_error(runner, args):
+    # sigma_n ** 2 overflows from about 1.34e154 on; the MAP borders and the
+    # Monte-Carlo oracle both take it, so the model rejects such a sigma_n
+    res = run(runner, "--sigma-n", "1e300", *args)
+    assert res.exit_code == 2
+    assert "sigma_n" in res.output
+
+
 EQUIDISTANT = ["--strategy", "equidistant"]
 DOMAIN_ERRORS = {
     "rate-step": ["rate", "--attacker", "digital", "--pd", "0.18",
@@ -270,18 +281,19 @@ def test_summary_at_the_cap_and_delta_reported(runner, monkeypatch, args):
 
 @pytest.mark.parametrize("args,nodes,warning", [
     *((a, 32, False) for a in QUERIES.values()),
-    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 80,
+    (QUERIES["rate"] + ["--levels", "256", "--strategy", "equidistant"], 60,
      False),
     (["cells", "--strategy", "equidistant", "--step", "10", "--levels", "64",
       "--attacker", "analog", "--pd", "0.18", "--pa", "0.36", "--security",
-      "128"], 128, True),
+      "128"], 126, True),
 ], ids=[*QUERIES, "rate-paneled", "cells-flagged"])
 def test_quadrature_nodes_reported(runner, args, nodes, warning):
     # equiprobable N = 8 converges at 32 of the default 128 nodes, far
     # inside the 1e-6 flag; equidistant N = 256 converges on five panels
-    # between its four MAP switch points, 16 nodes each; the 10-wide
-    # equidistant N = 64 switches too often for panels to fit the cap, runs
-    # the whole chain and ends it above the flag (channel delta 2.3e-4)
+    # between its four MAP switch points, 12 nodes each; the 10-wide
+    # equidistant N = 64 has 84 switch points, of which the 16-node probe
+    # brackets 8: its chain runs to 14 nodes on each of nine panels and
+    # ends above the flag (channel delta 1.4e-3)
     res = run(runner, "--format", "json", *args)
     assert res.exit_code in (0, 1)
     record = json.loads(res.output)

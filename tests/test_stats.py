@@ -98,6 +98,13 @@ class TestQuadrature:
         xs2, _ = unit_interval_rule(64)
         assert xs2 is xs
 
+    def test_one_node_is_the_midpoint_rule(self):
+        # a panel of the error-controlled chain may get a single node
+        xs, ws = unit_interval_rule(1)
+        assert (xs.tolist(), ws.tolist()) == ([0.5], [1.0])
+        with pytest.raises(DomainError):
+            unit_interval_rule(0)
+
     def test_polynomial_exactness(self):
         # Gauss-Legendre with k nodes is exact through degree 2k-1
         xs, ws = unit_interval_rule(16)
@@ -130,6 +137,11 @@ class TestPufModel:
             PufModel(2241.0, -1.0)
         with pytest.raises(DomainError):
             PufModel(math.nan, 129.0)
+        # a sigma_n whose square overflows, and the largest that does not
+        with pytest.raises(DomainError, match="sigma_n"):
+            PufModel(2241.0, 1.3407807929942597e154)
+        assert math.isfinite(PufModel(2241.0, 1.3407807929942596e154)
+                             .sigma_n ** 2)
 
     def test_noiseless_allowed(self):
         assert PufModel(2241.0, 0.0).sigma_n == 0.0
